@@ -7,6 +7,11 @@
 // so the 8-thread cells measure real contention on the concurrent state
 // store rather than task spawn overhead.
 //
+// Each instance also times the sequential TopoTreeSearch::FindOptimalDfs
+// (seq_ms), so every engine cell reports its speedup over the real
+// sequential baseline (speedup_vs_seq) beside its speedup over its own
+// one-thread inline mode (speedup_vs_1).
+//
 // For every cell the benchmark verifies the parallel allocation is
 // byte-identical to TopoTreeSearch::FindOptimalDfs before timing counts;
 // a mismatch is a hard failure (exit 1), because the determinism contract is
@@ -54,6 +59,7 @@ struct RunCell {
   uint64_t nodes_expanded = 0;
   double expansions_per_sec = 0.0;
   double speedup_vs_1 = 0.0;
+  double speedup_vs_seq = 0.0;  // seq_seconds / seconds
   bool matches_single_threaded = false;
   // Concurrent state-store accounting of the best-of-repeats run (see
   // exec/state_store.h for the counter semantics).
@@ -78,6 +84,8 @@ struct InstanceReport {
   uint64_t dfs_expansions_unseeded = 0;
   uint64_t dfs_expansions_seeded = 0;
   double seeding_reduction = 0.0;  // unseeded / seeded
+  // Best-of-repeats wall time of the unseeded sequential DFS.
+  double seq_seconds = 0.0;
   std::vector<RunCell> runs;
 };
 
@@ -131,6 +139,22 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
     return false;
   }
 
+  // Sequential baseline: the unseeded DFS, timed like the engine cells
+  // (best of `repeats`; the reference run above warmed it up).
+  double seq_seconds = -1.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    auto begin = std::chrono::steady_clock::now();
+    auto timed = search->FindOptimalDfs();
+    auto end = std::chrono::steady_clock::now();
+    if (!timed.ok() || timed->slots != reference->slots) {
+      std::fprintf(stderr, "sequential dfs rerun diverged on %s\n",
+                   name.c_str());
+      return false;
+    }
+    const double seconds = Seconds(begin, end);
+    if (seq_seconds < 0.0 || seconds < seq_seconds) seq_seconds = seconds;
+  }
+
   InstanceReport report;
   report.name = name;
   report.fanout = fanout;
@@ -145,6 +169,7 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
           ? static_cast<double>(reference->stats.nodes_expanded) /
                 static_cast<double>(seeded->stats.nodes_expanded)
           : 0.0;
+  report.seq_seconds = seq_seconds;
 
   double baseline_seconds = 0.0;
   for (int threads : thread_grid) {
@@ -186,6 +211,8 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
         cell.seconds > 0.0 && baseline_seconds > 0.0
             ? baseline_seconds / cell.seconds
             : 0.0;
+    cell.speedup_vs_seq =
+        cell.seconds > 0.0 ? seq_seconds / cell.seconds : 0.0;
     if (!cell.matches_single_threaded) {
       std::fprintf(stderr,
                    "DETERMINISM VIOLATION: %s threads=%d diverged from the "
@@ -200,27 +227,28 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
 }
 
 void PrintTable(const std::vector<InstanceReport>& reports) {
-  std::printf("%-10s %6s %3s | %7s %9s %12s %14s %8s %10s %8s\n", "instance",
-              "nodes", "k", "threads", "time(s)", "expansions",
-              "expansions/s", "speedup", "store-ins", "cas-try");
+  std::printf("%-10s %6s %3s | %7s %9s %12s %14s %8s %8s %10s %8s\n",
+              "instance", "nodes", "k", "threads", "time(s)", "expansions",
+              "expansions/s", "speedup", "vs-seq", "store-ins", "cas-try");
   for (const InstanceReport& report : reports) {
     for (const RunCell& cell : report.runs) {
       std::printf(
-          "%-10s %6d %3d | %7d %9.4f %12llu %14.0f %8.2f %10llu %8llu\n",
+          "%-10s %6d %3d | %7d %9.4f %12llu %14.0f %8.2f %8.2f %10llu "
+          "%8llu\n",
           report.name.c_str(), report.num_nodes, report.channels, cell.threads,
           cell.seconds, static_cast<unsigned long long>(cell.nodes_expanded),
-          cell.expansions_per_sec, cell.speedup_vs_1,
+          cell.expansions_per_sec, cell.speedup_vs_1, cell.speedup_vs_seq,
           static_cast<unsigned long long>(cell.store_inserts),
           static_cast<unsigned long long>(cell.store_cas_retries));
     }
   }
-  std::printf("\n%-10s | %18s %16s %10s\n", "instance", "dfs unseeded",
-              "dfs seeded", "reduction");
+  std::printf("\n%-10s | %18s %16s %10s %10s\n", "instance", "dfs unseeded",
+              "dfs seeded", "reduction", "seq ms");
   for (const InstanceReport& report : reports) {
-    std::printf("%-10s | %18llu %16llu %9.2fx\n", report.name.c_str(),
+    std::printf("%-10s | %18llu %16llu %9.2fx %10.4f\n", report.name.c_str(),
                 static_cast<unsigned long long>(report.dfs_expansions_unseeded),
                 static_cast<unsigned long long>(report.dfs_expansions_seeded),
-                report.seeding_reduction);
+                report.seeding_reduction, report.seq_seconds * 1e3);
   }
 }
 
@@ -265,6 +293,8 @@ bool WriteJson(const std::string& path,
     json.UInt(report.dfs_expansions_seeded);
     json.Key("seeding_reduction");
     json.Double(report.seeding_reduction);
+    json.Key("seq_ms");
+    json.Double(report.seq_seconds * 1e3);
     json.Key("runs");
     json.BeginArray();
     for (const RunCell& cell : report.runs) {
@@ -279,6 +309,8 @@ bool WriteJson(const std::string& path,
       json.Double(cell.expansions_per_sec);
       json.Key("speedup_vs_1");
       json.Double(cell.speedup_vs_1);
+      json.Key("speedup_vs_seq");
+      json.Double(cell.speedup_vs_seq);
       json.Key("matches_single_threaded");
       json.Bool(cell.matches_single_threaded);
       json.Key("store_hits");

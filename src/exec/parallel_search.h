@@ -145,16 +145,9 @@ struct ParallelSearchOptions {
   /// microseconds of work and a stealable task costs more than it buys.
   /// 0 disables the cutoff.
   uint64_t min_parallel_subtree = 12;
-  /// DEPRECATED (no-op since the lock-free store landed): the mutex-sharded
-  /// transposition cache this configured was replaced by the shardless
-  /// ConcurrentStateStore (exec/state_store.h). Kept so existing callers and
-  /// scripts don't break: 0 still disables memoization entirely, negative is
-  /// still INVALID_ARGUMENT, and any positive value is accepted and ignored
-  /// — store tuning moved to store_capacity / store_arena_bytes /
-  /// store_max_cas_retries.
-  int cache_shards = 32;
   /// State-store table cells, rounded up to a power of two; 0 = auto-size
-  /// from the root SubtreeSizeHint. Ignored when cache_shards == 0.
+  /// from the root SubtreeSizeHint. 1 leaves room for the root state only,
+  /// which in effect turns memoization off.
   size_t store_capacity = 0;
   /// Arena budget for store entry records; 0 = auto (scaled from the cell
   /// count, capped — see exec/state_store.h). Exhaustion degrades to
@@ -233,8 +226,7 @@ struct ParallelSearchResult {
 /// max_expansions or when a soft stop fires before any goal was completed,
 /// INTERNAL if no goal state exists (a pruning dead end, or an initial_bound
 /// below the true optimum), INVALID_ARGUMENT for negative num_threads /
-/// cache_shards / initial_bound or non-positive batch_factor /
-/// store_max_cas_retries.
+/// initial_bound or non-positive batch_factor / store_max_cas_retries.
 Result<ParallelSearchResult> RunParallelSearch(
     const BnbProblem& problem, const ParallelSearchOptions& options);
 

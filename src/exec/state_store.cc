@@ -39,7 +39,28 @@ constexpr size_t kChunkBytes = 256 * 1024;
 // for CAS-replacement garbage.
 constexpr size_t kAutoBytesPerCell = 128;
 
+// Cell word: | 16-bit generation | 48-bit arena word offset + 1 |. The
+// generation is never 0 while a store uses the table, so an all-zero (fresh
+// or wrap-zeroed) cell is empty for every store.
+constexpr int kGenerationShift = 48;
+constexpr uint64_t kOffsetMask = (uint64_t{1} << kGenerationShift) - 1;
+constexpr uint64_t kGenerationLimit = uint64_t{1} << (64 - kGenerationShift);
+constexpr size_t kWordBytes = sizeof(uint64_t);
+
 }  // namespace
+
+// One per thread: the cell table its stores reuse, search after search.
+struct ConcurrentStateStore::ThreadTable {
+  std::unique_ptr<std::atomic<uint64_t>[]> cells;
+  size_t size = 0;
+  uint64_t generation = 0;  // last generation handed out; 0 = none yet
+  bool in_use = false;      // a live store on this thread holds the table
+
+  static ThreadTable& Local() {
+    thread_local ThreadTable table;
+    return table;
+  }
+};
 
 struct ConcurrentStateStore::Entry {
   uint64_t mask;
@@ -80,10 +101,58 @@ ConcurrentStateStore::ConcurrentStateStore(const BnbProblem& problem,
                                       ? options.arena_bytes
                                       : capacity_ * kAutoBytesPerCell;
             return (budget + kChunkBytes - 1) / kChunkBytes;
-          }()),
-      cells_(new std::atomic<Entry*>[capacity_]()) {}
+          }()) {
+  BCAST_CHECK_LE(arena_.bytes_reserved() / kWordBytes, kOffsetMask - 1);
+  ThreadTable& table = ThreadTable::Local();
+  uint64_t generation = 1;
+  if (table.in_use) {
+    // Another store on this thread still holds the shared table; sharing it
+    // under a newer generation would make that store's entries vanish.
+    private_cells_.reset(new std::atomic<uint64_t>[capacity_]());
+    cells_ = private_cells_.get();
+  } else {
+    if (table.size < capacity_) {
+      table.cells.reset();  // free the old table before allocating the new
+      table.size = 0;
+      table.cells.reset(new std::atomic<uint64_t>[capacity_]());
+      table.size = capacity_;
+      table.generation = 0;
+    }
+    if (++table.generation == kGenerationLimit) {
+      // Generation wrap: stamps from the previous cycle would read as live,
+      // so empty the whole table once and start over.
+      for (size_t i = 0; i < table.size; ++i) {
+        table.cells[i].store(0, std::memory_order_relaxed);
+      }
+      table.generation = 1;
+    }
+    table.in_use = true;
+    thread_table_ = &table;
+    cells_ = table.cells.get();
+    generation = table.generation;
+  }
+  generation_tag_ = generation << kGenerationShift;
+}
 
-ConcurrentStateStore::~ConcurrentStateStore() = default;
+ConcurrentStateStore::~ConcurrentStateStore() {
+  if (thread_table_ == nullptr) return;
+  BCAST_DCHECK(thread_table_ == &ThreadTable::Local())
+      << "a state store must be destroyed on the thread that built it";
+  thread_table_->in_use = false;
+}
+
+uint64_t ConcurrentStateStore::Encode(const Entry* entry) const {
+  const size_t offset =
+      static_cast<size_t>(reinterpret_cast<const char*>(entry) - arena_.base());
+  return generation_tag_ | (offset / kWordBytes + 1);
+}
+
+// bcast: hot
+const ConcurrentStateStore::Entry* ConcurrentStateStore::Decode(
+    uint64_t word) const {
+  const size_t offset = static_cast<size_t>((word & kOffsetMask) - 1);
+  return reinterpret_cast<const Entry*>(arena_.base() + offset * kWordBytes);
+}
 
 ConcurrentStateStore::Entry* ConcurrentStateStore::NewEntry(
     const BnbState& state, const std::vector<uint64_t>& prefix) {
@@ -126,17 +195,20 @@ bool ConcurrentStateStore::CheckDominatedOrInsert(
     const BnbState& state, const std::vector<uint64_t>& prefix) {
   const size_t index_mask = capacity_ - 1;
   size_t index = static_cast<size_t>(HashKey(state)) & index_mask;
-  Entry* mine = nullptr;  // built lazily, reusable across cells (same bytes)
+  uint64_t mine = 0;  // built lazily, reusable across cells (same bytes)
+  auto build_mine = [&] {
+    const Entry* entry = NewEntry(state, prefix);
+    if (entry != nullptr) mine = Encode(entry);
+    return entry != nullptr;
+  };
   for (size_t probe = 0; probe < max_probe_; ++probe) {
-    std::atomic<Entry*>& cell = cells_[index];
-    Entry* current = cell.load(std::memory_order_acquire);
-    if (current == nullptr) {
-      if (mine == nullptr) {
-        mine = NewEntry(state, prefix);
-        if (mine == nullptr) {  // arena exhausted — stop memoizing
-          evictions_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
+    std::atomic<uint64_t>& cell = cells_[index];
+    uint64_t current = cell.load(std::memory_order_acquire);
+    if ((current & ~kOffsetMask) != generation_tag_) {
+      // Empty: never written, or written by an earlier search.
+      if (mine == 0 && !build_mine()) {  // arena exhausted — stop memoizing
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+        return false;
       }
       if (cell.compare_exchange_strong(current, mine,
                                        std::memory_order_release,
@@ -144,24 +216,22 @@ bool ConcurrentStateStore::CheckDominatedOrInsert(
         inserts_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
-      // Lost the claim; `current` is the winner — fall through to the key
-      // check (a cell's key never changes after first publication).
+      // Lost the claim; `current` is the winner, which only this store can
+      // have written — fall through to the key check (a cell's key never
+      // changes after first publication).
     }
-    if (current->mask == state.mask && current->last_set == state.last_set &&
-        current->depth == state.depth &&
-        current->prefix_len == prefix.size()) {
+    const Entry* entry = Decode(current);
+    if (entry->mask == state.mask && entry->last_set == state.last_set &&
+        entry->depth == state.depth && entry->prefix_len == prefix.size()) {
       int retries = 0;
       while (true) {
-        if (EntryDominates(*current, state, prefix)) {
+        if (EntryDominates(*entry, state, prefix)) {
           hits_.fetch_add(1, std::memory_order_relaxed);
           return true;
         }
-        if (mine == nullptr) {
-          mine = NewEntry(state, prefix);
-          if (mine == nullptr) {
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-          }
+        if (mine == 0 && !build_mine()) {
+          evictions_.fetch_add(1, std::memory_order_relaxed);
+          return false;
         }
         if (cell.compare_exchange_strong(current, mine,
                                          std::memory_order_release,
@@ -175,6 +245,7 @@ bool ConcurrentStateStore::CheckDominatedOrInsert(
           evictions_.fetch_add(1, std::memory_order_relaxed);
           return false;
         }
+        entry = Decode(current);
       }
     }
     index = (index + 1) & index_mask;

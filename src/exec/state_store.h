@@ -3,14 +3,30 @@
 // per-mask cache of PRs 3–8.
 //
 // Shape (the DIVINE model checker's store discipline): one open-addressed
-// hash table of atomic entry pointers, keyed by the full search-state
-// identity (mask, last_set, depth), with entries bump-allocated out of a
-// preallocated FixedChunkArena (util/arena.h) and published by CAS. An entry
-// is immutable after publication and is never reclaimed before the store
-// dies, so readers need no hazard pointers: any pointer loaded from a cell
-// stays valid for the store's whole lifetime. Steady-state operation
-// performs ZERO heap allocations (proven by tests/alloc_free_search_test.cc)
-// — every byte was reserved in the constructor.
+// hash table of atomic cell words, keyed by the full search-state identity
+// (mask, last_set, depth), with entries bump-allocated out of a preallocated
+// FixedChunkArena (util/arena.h) and published by CAS. An entry is immutable
+// after publication and is never reclaimed before the store dies, so readers
+// need no hazard pointers: any entry a cell names stays valid for the
+// store's whole lifetime. Steady-state operation performs ZERO heap
+// allocations (proven by tests/alloc_free_search_test.cc) — every byte was
+// reserved in the constructor, or kept from the thread's previous search.
+//
+// Cell words. A cell is one 64-bit word: the high 16 bits hold the search
+// generation that wrote it, the low 48 bits the entry's 8-byte-word offset
+// into the arena slab, plus 1. A word whose generation is not this store's
+// reads as empty, so a table is emptied in O(1) by moving to the next
+// generation.
+//
+// Table reuse. Each thread keeps one cell table between searches: a store
+// built on that thread takes the next generation and uses the table's first
+// `capacity` cells (the table grows only when a larger capacity is asked
+// for, and is zeroed once when the 16-bit generation wraps). Capacity, hash
+// and probe sequence are exactly those of a fresh table, so results and
+// counters do not depend on what the thread searched before. A second store
+// built while the first is still alive on the same thread gets a private
+// zeroed table instead. Memory kept per thread is one table of the largest
+// capacity it has used (2^21 cells = 16 MiB at the engine's auto-size cap).
 //
 // Dominance model. For one key, the candidate order is the total order
 //   (v, canonical-lex rank of the root prefix)
@@ -33,9 +49,12 @@
 //
 // Memory model: entries are fully constructed before the releasing CAS that
 // publishes them; every cell load is an acquire, so a reader that observes
-// the pointer observes the entry's fields. A cell's key never changes after
-// first publication (replacements carry the same key), which rules out ABA
-// on the key-match fast path.
+// the word observes the entry's fields. A cell's key never changes after
+// first publication in a generation (replacements carry the same key), and
+// arena offsets are never reused within one store, which rules out ABA on
+// the key-match fast path. Words left by an earlier search on the same
+// table were written before that search joined, which happens-before this
+// store's construction.
 
 #ifndef BCAST_EXEC_STATE_STORE_H_
 #define BCAST_EXEC_STATE_STORE_H_
@@ -78,7 +97,9 @@ struct StateStoreCounters {
 class ConcurrentStateStore {
  public:
   /// `problem` provides SubsetLess for the canonical-lex tie-break; it must
-  /// outlive the store.
+  /// outlive the store. The store borrows the constructing thread's cell
+  /// table, so it must be destroyed on that thread (any thread may call
+  /// CheckDominatedOrInsert in between).
   ConcurrentStateStore(const BnbProblem& problem,
                        const StateStoreOptions& options);
   ~ConcurrentStateStore();
@@ -101,10 +122,16 @@ class ConcurrentStateStore {
 
  private:
   struct Entry;
+  struct ThreadTable;
 
   // Builds an immutable arena-backed entry, or nullptr when the arena is
   // exhausted (or the prefix alone overflows a chunk).
   Entry* NewEntry(const BnbState& state, const std::vector<uint64_t>& prefix);
+
+  // Cell-word encoding of an arena entry (this store's generation in the
+  // high bits) and its inverse; Decode is only valid for this generation.
+  uint64_t Encode(const Entry* entry) const;
+  const Entry* Decode(uint64_t word) const;
 
   // True when `entry` precedes or equals (state, prefix) in the per-key
   // total order (v, canonical lex).
@@ -116,7 +143,12 @@ class ConcurrentStateStore {
   const size_t max_probe_;
   const int max_cas_retries_;
   FixedChunkArena arena_;
-  std::unique_ptr<std::atomic<Entry*>[]> cells_;
+  // The calling thread's table while this store holds it (released in the
+  // destructor), or null when the store fell back to private_cells_.
+  ThreadTable* thread_table_ = nullptr;
+  std::unique_ptr<std::atomic<uint64_t>[]> private_cells_;
+  std::atomic<uint64_t>* cells_ = nullptr;  // first capacity_ cells used
+  uint64_t generation_tag_ = 0;             // generation << 48
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> inserts_{0};

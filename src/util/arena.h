@@ -58,6 +58,9 @@ class FixedChunkArena {
   size_t chunk_bytes() const { return chunk_bytes_; }
   size_t num_chunks() const { return num_chunks_; }
   size_t bytes_reserved() const { return chunk_bytes_ * num_chunks_; }
+  /// Start of the contiguous slab every Alloc() block lies in, so a caller
+  /// can name a block by its offset from here instead of by pointer.
+  const char* base() const { return slab_.get(); }
 
  private:
   // Claims the next pool chunk, or nullptr when the pool is exhausted.

@@ -32,21 +32,31 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
 
 uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+uint64_t AllocatedBytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
+void CountAllocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -59,13 +69,13 @@ void* AlignedAlloc(std::size_t size, std::align_val_t align) {
 }  // namespace
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = AlignedAlloc(size, align)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = AlignedAlloc(size, align)) return p;
   throw std::bad_alloc();
 }
@@ -151,8 +161,8 @@ TEST(AllocFreeSearchTest, ParallelEngineInsertPathIsAllocationFree) {
   // Same protocol as the DFS test, applied to the parallel engine's
   // steady-state path: expansion + concurrent-state-store insert. The engine
   // runs in inline mode (num_threads = 1 skips the pool entirely and keeps
-  // this thread's scratch arenas warm across runs) with a pinned store
-  // geometry, so per-call setup — store cells, arena slab, path reserves,
+  // this thread's scratch arenas and store cell table warm across runs) with
+  // a pinned store geometry, so per-call setup — arena slab, path reserves,
   // metrics emission — is a constant, and any allocation in the
   // Visit/CheckDominatedOrInsert loop would scale with the 2x+ expansion gap
   // and break the equality below.
@@ -199,9 +209,34 @@ TEST(AllocFreeSearchTest, ParallelEngineInsertPathIsAllocationFree) {
       << " (store inserts " << run_loose->stats.cache_misses
       << "), tight-bound expansions: " << run_tight->stats.nodes_expanded
       << " (store inserts " << run_tight->stats.cache_misses << ")";
-  // The fixed per-call cost stays small: store cells + arena slab + path
-  // reserves + the metrics emission, not anything per expansion.
+  // The fixed per-call cost stays small: arena slab + path reserves + the
+  // metrics emission, not anything per expansion.
   EXPECT_LE(allocs_tight, 256u);
+
+  // The cell table is kept on this thread between searches, so once it has
+  // grown to 2^21 cells (16 MiB) a call allocates the same whatever capacity
+  // it asks for, and no more than the arena slab plus small change.
+  constexpr uint64_t kSlack = 1u << 20;
+  options.store_capacity = size_t{1} << 21;
+  ASSERT_TRUE(RunParallelSearch(tight_problem, options).ok());  // grows it
+  uint64_t before_count = AllocationCount();
+  uint64_t before_bytes = AllocatedBytes();
+  auto run_big = RunParallelSearch(tight_problem, options);
+  const uint64_t allocs_big = AllocationCount() - before_count;
+  const uint64_t bytes_big = AllocatedBytes() - before_bytes;
+
+  options.store_capacity = size_t{1} << 12;
+  before_count = AllocationCount();
+  before_bytes = AllocatedBytes();
+  auto run_small = RunParallelSearch(tight_problem, options);
+  const uint64_t allocs_small = AllocationCount() - before_count;
+  const uint64_t bytes_small = AllocatedBytes() - before_bytes;
+
+  ASSERT_TRUE(run_big.ok() && run_small.ok());
+  EXPECT_EQ(run_big->best_path, run_small->best_path);
+  EXPECT_EQ(allocs_big, allocs_small);
+  EXPECT_LT(bytes_big, options.store_arena_bytes + kSlack);
+  EXPECT_LT(bytes_small, options.store_arena_bytes + kSlack);
 }
 
 TEST(AllocFreeSearchTest, CountingModesAllocationsAreIndependentOfTreeSize) {

@@ -99,41 +99,6 @@ TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
   EXPECT_NE(parallel.find("average data wait : 3.77143"), std::string::npos);
 }
 
-TEST(CliTest, CacheShardsFlagIsADeprecatedNoOpWithWarning) {
-  // The flag configured the retired mutex-sharded transposition cache; the
-  // lock-free state store is unsharded. Scripts that still pass it must keep
-  // working (same plan, exit 0) and get told it does nothing.
-  std::string with_flag;
-  int code = RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                         "--strategy", "optimal", "--cache-shards", "32"},
-                        &with_flag);
-  EXPECT_EQ(code, 0) << with_flag;
-  EXPECT_NE(with_flag.find("--cache-shards is deprecated"), std::string::npos);
-  EXPECT_NE(with_flag.find("average data wait : 3.77143"), std::string::npos);
-
-  // The historical "0 disables the cache" spelling is accepted too.
-  std::string zero;
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                        "--strategy", "optimal", "--cache-shards=0"},
-                       &zero),
-            0)
-      << zero;
-  EXPECT_NE(zero.find("deprecated"), std::string::npos);
-
-  // Deprecated, not unvalidated: garbage values still fail loudly.
-  std::string bad;
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--cache-shards=-1"},
-                       &bad),
-            1);
-  EXPECT_NE(bad.find("--cache-shards must be >= 0"), std::string::npos);
-  bad.clear();
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--cache-shards",
-                        "many"},
-                       &bad),
-            1);
-  EXPECT_NE(bad.find("expects an integer"), std::string::npos);
-}
-
 TEST(CliTest, PlanRejectsBadSearchTuningValues) {
   std::string out;
   EXPECT_EQ(

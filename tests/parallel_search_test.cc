@@ -115,8 +115,8 @@ TEST(ParallelSearchTest, ToyProblemFindsHeaviestFirstOptimum) {
 TEST(ParallelSearchTest, CacheSkipsDominatedStateExactlyOnce) {
   // The state (mask={1,2,4}, last_set={4}) is reached twice: first via the
   // canonical prefix [1,2,4] (v = 16), later via [2,1,4] (v = 17). With the
-  // cache the second visit is dominated and must NOT be re-expanded; without
-  // the cache it is.
+  // cache the second visit is dominated and must NOT be re-expanded; with a
+  // one-cell store, which records only the root, it is.
   ToyProblem cached_problem;
   ParallelSearchOptions cached_options = SequentialOptions();
   auto cached = RunParallelSearch(cached_problem, cached_options);
@@ -127,12 +127,12 @@ TEST(ParallelSearchTest, CacheSkipsDominatedStateExactlyOnce) {
 
   ToyProblem uncached_problem;
   ParallelSearchOptions uncached_options = SequentialOptions();
-  uncached_options.cache_shards = 0;
+  uncached_options.store_capacity = 1;
   auto uncached = RunParallelSearch(uncached_problem, uncached_options);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
   EXPECT_EQ(uncached_problem.ExpandCount(0x7, 0x4), 2);
   EXPECT_EQ(uncached->stats.cache_hits, 0u);
-  EXPECT_EQ(uncached->stats.cache_entries, 0u);
+  EXPECT_EQ(uncached->stats.cache_entries, 1u);  // the root
 
   // Memoization saves work but never changes the answer. (nodes_expanded
   // counts dominated states too — the skip happens before their children are
@@ -183,32 +183,11 @@ TEST(ParallelSearchTest, ResultInvariantAcrossBatchFactors) {
   }
 }
 
-TEST(ParallelSearchTest, DeprecatedCacheShardsStillTogglesMemoization) {
-  // Any positive value is a no-op (the store is unsharded) — the historical
-  // 0-disables semantics is the only part scripts can still observe.
-  for (int shards : {1, 32, 4096}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ToyProblem problem;
-    ParallelSearchOptions options = SequentialOptions();
-    options.cache_shards = shards;
-    auto result = RunParallelSearch(problem, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(problem.ExpandCount(0x7, 0x4), 1);  // memoized either way
-    EXPECT_GT(result->stats.cache_entries, 0u);
-  }
-}
-
 TEST(ParallelSearchTest, RejectsNegativeOptions) {
   ToyProblem problem;
   ParallelSearchOptions options;
   options.num_threads = -1;
   auto result = RunParallelSearch(problem, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-
-  options = ParallelSearchOptions{};
-  options.cache_shards = -1;
-  result = RunParallelSearch(problem, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 

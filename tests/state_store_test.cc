@@ -3,18 +3,30 @@
 //
 // The stress tests run under the TSan CI job (ci.yml filters on the
 // StateStore/Arena test names), which is where the memory-model claims in
-// the state-store header are actually checked.
+// the state-store header are actually checked. The StateStoreReuse tests
+// pin the per-thread cell-table reuse: a search on a reused table must be
+// indistinguishable from one on a fresh table.
 
 #include "exec/state_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "alloc/topo_parallel.h"
+#include "alloc/topo_search.h"
+#include "broadcast/program_io.h"
+#include "core/planner.h"
+#include "tree/builders.h"
+#include "tree/index_tree.h"
 #include "util/arena.h"
+#include "util/rng.h"
 
 namespace bcast {
 namespace {
@@ -352,6 +364,266 @@ TEST(StateStoreStressTest, ConcurrentOverflowKeepsCountersConsistent) {
   EXPECT_EQ(c.entries, c.inserts);
   EXPECT_LE(c.entries, store.capacity());
   EXPECT_GT(c.evictions, 0u);  // the table is 128x oversubscribed
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread cell-table reuse
+// ---------------------------------------------------------------------------
+
+// Everything an inline search reports that the store could influence.
+struct SearchOutcome {
+  std::vector<uint64_t> best_path;
+  double best_v = 0.0;
+  uint64_t hits = 0;
+  uint64_t inserts = 0;
+  uint64_t evictions = 0;
+  uint64_t entries = 0;
+
+  bool operator==(const SearchOutcome&) const = default;
+};
+
+// One-thread, no-spawn search: the schedule is fixed, so the store counters
+// are exact and comparable across runs.
+SearchOutcome RunInline(const BnbProblem& problem, size_t capacity) {
+  ParallelSearchOptions options;
+  options.num_threads = 1;
+  options.spawn_depth = 0;
+  options.store_capacity = capacity;
+  auto result = RunParallelSearch(problem, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  SearchOutcome outcome;
+  if (!result.ok()) return outcome;
+  outcome.best_path = result->best_path;
+  outcome.best_v = result->best_v;
+  outcome.hits = result->stats.cache_hits;
+  outcome.inserts = result->stats.cache_misses;
+  outcome.evictions = result->stats.cache_dropped;
+  outcome.entries = result->stats.cache_entries;
+  return outcome;
+}
+
+// Runs `search` on a new thread, whose cell table starts empty.
+template <typename Search>
+SearchOutcome OnFreshThread(Search search) {
+  SearchOutcome outcome;
+  std::thread([&] { outcome = search(); }).join();
+  return outcome;
+}
+
+void ExpectSameOutcome(const SearchOutcome& actual,
+                       const SearchOutcome& expected) {
+  EXPECT_EQ(actual.best_path, expected.best_path);
+  EXPECT_EQ(actual.best_v, expected.best_v);  // exact, not approximate
+  EXPECT_EQ(actual.hits, expected.hits);
+  EXPECT_EQ(actual.inserts, expected.inserts);
+  EXPECT_EQ(actual.evictions, expected.evictions);
+  EXPECT_EQ(actual.entries, expected.entries);
+}
+
+TopoTreeSearch MakeTopoSearch(const IndexTree& tree) {
+  TopoTreeSearch::Options options;
+  options.num_channels = 2;
+  options.prune_candidates = true;
+  options.prune_local_swap = true;
+  auto search = TopoTreeSearch::Create(tree, options);
+  EXPECT_TRUE(search.ok()) << search.status().ToString();
+  return std::move(search).value();
+}
+
+TEST(StateStoreReuseTest, ShrinkingAndGrowingCapacityMatchesAFreshTable) {
+  Rng rng(0x5EED);
+  const IndexTree tree = MakeRandomTree(&rng, /*num_data=*/12,
+                                        /*max_fanout=*/3);
+  const TopoTreeSearch search = MakeTopoSearch(tree);
+  const TopoBnbProblem problem(search);
+
+  // 2^21 fills cells all over the table; 2^12 then reuses its first 4,096
+  // cells, every one of them left over from the previous search; 2^18 reuses
+  // cells both searches wrote. Each capacity runs twice, so the second run
+  // meets the first one's entries in exactly the cells it probes.
+  for (size_t capacity : {size_t{1} << 21, size_t{1} << 12, size_t{1} << 18}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const SearchOutcome fresh =
+        OnFreshThread([&] { return RunInline(problem, capacity); });
+    ASSERT_GT(fresh.hits, 0u);  // the store did work on this instance
+    ExpectSameOutcome(RunInline(problem, capacity), fresh);
+    ExpectSameOutcome(RunInline(problem, capacity), fresh);
+  }
+}
+
+// Places the elements {1, 2, 4, 8, 16} one per slot; cost is weight times
+// slot. Orders that reach the same set share store keys with different
+// costs, so every search both inserts and hits.
+class PlacementProblem : public BnbProblem {
+ public:
+  explicit PlacementProblem(std::vector<double> weights)
+      : weights_(std::move(weights)) {}
+
+  BnbState Root() const override { return BnbState{0, 0, 1, 0.0}; }
+  bool IsGoal(const BnbState& state) const override {
+    return state.mask == (uint64_t{1} << weights_.size()) - 1;
+  }
+  void Expand(const BnbState& state,
+              std::vector<uint64_t>* subsets) const override {
+    subsets->clear();
+    for (size_t i = 0; i < weights_.size(); ++i) {
+      const uint64_t bit = uint64_t{1} << i;
+      if ((state.mask & bit) == 0) subsets->push_back(bit);
+    }
+    std::sort(subsets->begin(), subsets->end(),
+              [this](uint64_t a, uint64_t b) { return SubsetLess(a, b); });
+  }
+  BnbState Child(const BnbState& state, uint64_t subset) const override {
+    return BnbState{state.mask | subset, subset, state.depth + 1,
+                    state.v + Weight(subset) *
+                                  static_cast<double>(state.depth + 1)};
+  }
+  double Estimate(const BnbState& state) const override { return state.v; }
+  bool SubsetLess(uint64_t a, uint64_t b) const override {
+    if (Weight(a) != Weight(b)) return Weight(a) > Weight(b);
+    return a < b;
+  }
+
+ private:
+  double Weight(uint64_t bit) const {
+    return weights_[static_cast<size_t>(std::countr_zero(bit))];
+  }
+
+  std::vector<double> weights_;
+};
+
+TEST(StateStoreReuseTest, GenerationWrapKeepsEverySearchExact) {
+  // Two problems over the same keys with different costs alternate, so each
+  // search meets the other's stale entries. On a fresh thread the 16-bit
+  // generation wraps at a known point inside the 65,600 searches.
+  const PlacementProblem first({5.0, 3.0, 2.0, 1.0, 0.5});
+  const PlacementProblem second({0.5, 1.0, 2.0, 3.0, 5.0});
+  constexpr size_t kCapacity = 64;
+  constexpr int kSearches = 65'600;
+  const SearchOutcome first_reference =
+      OnFreshThread([&] { return RunInline(first, kCapacity); });
+  const SearchOutcome second_reference =
+      OnFreshThread([&] { return RunInline(second, kCapacity); });
+  ASSERT_GT(first_reference.hits, 0u);
+  ASSERT_NE(first_reference.best_path, second_reference.best_path);
+
+  int mismatches = 0;
+  std::thread([&] {
+    for (int i = 0; i < kSearches; ++i) {
+      const bool odd = i % 2 != 0;
+      const SearchOutcome outcome = RunInline(odd ? second : first, kCapacity);
+      const SearchOutcome& expected =
+          odd ? second_reference : first_reference;
+      if (!(outcome == expected)) {
+        ADD_FAILURE() << "search " << i << " differs from its reference";
+        if (++mismatches == 5) return;
+      }
+    }
+  }).join();
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(StateStoreReuseTest, WrappedGenerationSeesNoStaleCells) {
+  // On a fresh thread the first store is generation 1 and the 65,536th
+  // wraps back to it. Only the first store writes, so its cell would still
+  // carry a live-looking stamp at the wrap unless the table was emptied.
+  // With one probe per lookup a live-looking cell cannot be stepped over:
+  // the key would be dropped, not recorded.
+  StoreProblem problem;
+  StateStoreOptions options;
+  options.capacity = 64;
+  options.max_probe = 1;
+  constexpr int kGenerations = 1 << 16;
+  {
+    // Precondition: keys 7 and 9 hash to different cells, so with one probe
+    // both can be recorded.
+    ConcurrentStateStore fresh(problem, options);
+    fresh.CheckDominatedOrInsert(MakeState(7, 1.0), {2, 5});
+    fresh.CheckDominatedOrInsert(MakeState(9, 1.0), {2, 5});
+    ASSERT_EQ(fresh.Counters().inserts, 2u);
+  }
+  StateStoreCounters after_wrap;
+  bool wrapped_dominates = false;
+  std::thread([&] {
+    {
+      ConcurrentStateStore first(problem, options);
+      first.CheckDominatedOrInsert(MakeState(7, 1.0), {2, 5});
+    }
+    for (int generation = 2; generation < kGenerations; ++generation) {
+      ConcurrentStateStore idle(problem, options);
+    }
+    // Key 7 meets the first store's cell, key 9 a never-written one.
+    ConcurrentStateStore wrapped(problem, options);
+    wrapped.CheckDominatedOrInsert(MakeState(7, 5.0), {3, 5});
+    wrapped.CheckDominatedOrInsert(MakeState(9, 5.0), {3, 5});
+    wrapped_dominates =
+        wrapped.CheckDominatedOrInsert(MakeState(7, 6.0), {3, 5});
+    after_wrap = wrapped.Counters();
+  }).join();
+  EXPECT_EQ(after_wrap.inserts, 2u);
+  EXPECT_EQ(after_wrap.evictions, 0u);
+  EXPECT_EQ(after_wrap.hits, 1u);
+  EXPECT_TRUE(wrapped_dominates);
+}
+
+TEST(StateStoreReuseTest, OverlappingStoresOnOneThreadShareNoCells) {
+  StoreProblem problem;
+  StateStoreOptions options;
+  options.capacity = 64;
+  ConcurrentStateStore outer(problem, options);
+  EXPECT_FALSE(outer.CheckDominatedOrInsert(MakeState(7, 5.0), {2, 5}));
+  {
+    // Built while `outer` holds this thread's table: it must not see the
+    // outer entry (same generation) nor overwrite it (newer generation).
+    ConcurrentStateStore inner(problem, options);
+    EXPECT_FALSE(inner.CheckDominatedOrInsert(MakeState(7, 9.0), {3, 5}));
+    EXPECT_TRUE(inner.CheckDominatedOrInsert(MakeState(7, 9.5), {3, 5}));
+    const StateStoreCounters c = inner.Counters();
+    EXPECT_EQ(c.inserts, 1u);
+    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.entries, 1u);
+  }
+  // The outer entry survived the inner store, and still dominates.
+  EXPECT_TRUE(outer.CheckDominatedOrInsert(MakeState(7, 6.0), {3, 5}));
+  EXPECT_EQ(outer.Counters().entries, 1u);
+  ExpectInvariants(outer, 2);
+
+  // With both gone, a new store starts empty.
+  ConcurrentStateStore next(problem, options);
+  EXPECT_FALSE(next.CheckDominatedOrInsert(MakeState(7, 9.0), {3, 5}));
+}
+
+TEST(StateStoreReuseTest, ConcurrentPlanManyMatchesSequentialPlans) {
+  // Two planner threads each run 2-thread exact searches, so every planner
+  // thread reuses its own table while engine workers probe it.
+  Rng rng(0xB47C4);
+  std::vector<IndexTree> trees;
+  for (int i = 0; i < 12; ++i) {
+    trees.push_back(MakeRandomTree(&rng, /*num_data=*/9 + i % 4,
+                                   /*max_fanout=*/3));
+  }
+  std::vector<PlanRequest> requests;
+  for (size_t i = 0; i < trees.size(); ++i) {
+    PlanRequest request;
+    request.tree = &trees[i];
+    request.options.strategy = PlanStrategy::kOptimal;
+    request.options.num_channels = 2 + static_cast<int>(i % 2);
+    request.options.optimal.num_threads = 2;
+    requests.push_back(request);
+  }
+  const auto sequential = PlanMany(requests, /*num_threads=*/1);
+  const auto concurrent = PlanMany(requests, /*num_threads=*/2);
+  ASSERT_EQ(sequential.size(), requests.size());
+  ASSERT_EQ(concurrent.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    ASSERT_TRUE(sequential[i].ok()) << sequential[i].status().ToString();
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].status().ToString();
+    auto sequential_text = FormatProgram(trees[i], sequential[i]->schedule);
+    auto concurrent_text = FormatProgram(trees[i], concurrent[i]->schedule);
+    ASSERT_TRUE(sequential_text.ok() && concurrent_text.ok());
+    EXPECT_EQ(*concurrent_text, *sequential_text);
+  }
 }
 
 }  // namespace

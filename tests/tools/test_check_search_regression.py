@@ -217,6 +217,21 @@ class CheckSearchRegressionTest(unittest.TestCase):
         self.assertEqual(result.returncode, 2)
         self.assertIn("malformed scaling record", result.stderr)
 
+    def test_sequential_baseline_fields_are_ignored(self):
+        # seq_ms and speedup_vs_seq are informational timings: neither a
+        # collapse nor a field the baseline lacks may fail the gate.
+        baseline = self.write_json("b.json", scaling_report(5.0))
+        current_payload = scaling_report(5.0)
+        record = current_payload["instances"][0]
+        record["seq_ms"] = 0.25
+        record["runs"][0]["speedup_vs_seq"] = 0.01
+        record["runs"][1]["speedup_vs_seq"] = 0.02
+        current = self.write_json("c.json", current_payload)
+        result = self.run_check(baseline, current)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("check_search_regression: OK", result.stdout)
+        self.assertNotIn("speedup_vs_seq", result.stdout + result.stderr)
+
     def test_runs_absent_is_forward_compatible(self):
         # Counts-only reports (older bench binaries) still pass the gate.
         baseline = self.write_json("b.json", report([instance("i10", 100, 50)]))

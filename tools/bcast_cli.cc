@@ -35,7 +35,6 @@ constexpr char kUsage[] =
     "                 preorder|greedy-weight] [--threads N] [--simulate N]\n"
     "                [--bound paper-next-slot|packed]\n"
     "                [--seed-incumbent none|heuristic|previous]\n"
-    "                [--cache-shards N]   (deprecated no-op; warns)\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade off|anytime|heuristic]\n"
     "                [--save <path>]\n"
@@ -204,22 +203,8 @@ Result<int> LoadThreads(const FlagMap& flags) {
 // --bound / --seed-incumbent: tuning knobs for the exact topological-tree
 // search. Both leave the planned allocation byte-identical (the bound kinds
 // are both admissible; seeding is a strict upper bound) — they only change
-// how much of the tree the search explores. --cache-shards is a deprecated
-// no-op (the sharded transposition cache became the unsharded lock-free
-// state store): still validated and accepted so existing scripts keep
-// working, but it only earns a warning on `os`.
-Status LoadSearchTuning(const FlagMap& flags, OptimalOptions* optimal,
-                        std::ostringstream* os) {
-  if (flags.Get("cache-shards").has_value()) {
-    auto shards = flags.GetInt("cache-shards", 0);
-    if (!shards.ok()) return shards.status();
-    if (*shards < 0) {
-      return InvalidArgumentError("--cache-shards must be >= 0, got " +
-                                  std::to_string(*shards));
-    }
-    *os << "warning: --cache-shards is deprecated and ignored (the lock-free "
-           "concurrent state store is unsharded; see DESIGN.md section 17)\n";
-  }
+// how much of the tree the search explores.
+Status LoadSearchTuning(const FlagMap& flags, OptimalOptions* optimal) {
   if (auto bound = flags.Get("bound"); bound.has_value()) {
     if (*bound == "paper-next-slot") {
       optimal->bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
@@ -355,7 +340,7 @@ Status CmdPlan(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
   auto threads = LoadThreads(flags);
   if (!threads.ok()) return threads.status();
   options.optimal.num_threads = *threads;
-  BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal, os));
+  BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
   BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
 
   auto plan = PlanBroadcast(*tree, options);
@@ -648,7 +633,7 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
     auto threads = LoadThreads(flags);
     if (!threads.ok()) return threads.status();
     options.optimal.num_threads = *threads;
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal, os));
+    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
     options.replication.root_copies = *copies;
     options.replication.replicate_levels = *levels;
@@ -818,7 +803,7 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
     plan_options.strategy = *strategy;
     plan_options.optimal.num_threads =
         *threads > 0 ? *threads : ThreadPool::HardwareConcurrency();
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal, os));
+    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
     plan_options.replication.root_copies = *copies;
     plan_options.replication.replicate_levels = *levels;
