@@ -64,12 +64,13 @@ struct SearchStats {
   uint64_t bound_cutoffs = 0;      // subtrees cut by the Lemma 1/2 lower bound
   uint64_t incumbent_updates = 0;  // times a new best allocation was adopted
   uint64_t dominance_skips = 0;    // best-first closed-set dominance skips
-  // Concurrent state-store accounting (parallel engine only; all zero for the
-  // sequential DFS). Mirrors exec/state_store.h StateStoreCounters: hits are
-  // visits skipped as dominated, inserts are states recorded, dominated are
-  // weaker entries replaced in place, evictions are states the store dropped
-  // without recording (capacity/arena/CAS-retry pressure — re-expanded, never
-  // wrong), cas_retries counts publication races that looped.
+  // Transposition-memo accounting of the topological-tree DFS (zero for the
+  // other searches; see TranspositionMemo in alloc/topo_search.h): hits are
+  // states skipped as dominated, inserts are states recorded, dominated are
+  // weaker entries replaced in place, evictions are states left unrecorded
+  // at the entry cap (re-expanded, never wrong). cas_retries is always 0; it
+  // is kept only because the benchmark in perfbench/ still reads it, and
+  // goes when that benchmark is next re-cut.
   uint64_t store_hits = 0;
   uint64_t store_inserts = 0;
   uint64_t store_dominated = 0;

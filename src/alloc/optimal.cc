@@ -6,9 +6,7 @@
 #include "alloc/baselines.h"
 #include "alloc/data_tree.h"
 #include "alloc/heuristics.h"
-#include "alloc/topo_parallel.h"
 #include "alloc/topo_search.h"
-#include "exec/thread_pool.h"
 #include "obs/obs.h"
 
 namespace bcast {
@@ -21,11 +19,10 @@ namespace {
 // the reduced tree is larger.
 constexpr uint64_t kBreakdownNodeLimit = 2'000'000;
 
-// The acceptance contract for "per-rule counters identical across thread
-// counts": re-enumerate the reduced tree without bound or incumbent, whose
-// stats are a pure function of (tree, options), and publish that under
-// "pruning.*". The live engine counters (search.*) stay as run-varying
-// telemetry.
+// Re-enumerates the reduced tree without bound, incumbent or memo, whose
+// stats are a pure function of (tree, options), and publishes that under
+// "pruning.*". The live search counters (search.*) depend on the seed and
+// the bound as well.
 void EmitDeterministicBreakdown(TopoTreeSearch* search) {
   if (!obs::MetricsEnabled()) return;
   auto stats = search->ReducedTreeStats(kBreakdownNodeLimit);
@@ -81,7 +78,7 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
   }
   if (num_channels < 1) return InvalidArgumentError("need at least one channel");
   if (options.num_threads < 0) {
-    return InvalidArgumentError("num_threads must be >= 0 (0 = hardware)");
+    return InvalidArgumentError("num_threads must be >= 0");
   }
 
   const bool budgeted = options.budget.active();
@@ -112,20 +109,8 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
   if (!search.ok()) return search.status();
   EmitDeterministicBreakdown(&*search);
   const double seed_cost_v = ResolveSeedCost(tree, num_channels, options);
-  int threads = options.num_threads == 0 ? ThreadPool::HardwareConcurrency()
-                                         : options.num_threads;
-  Result<AllocationResult> result = InternalError("unreachable");
-  if (budgeted && options.budget.max_expansions > 0) {
-    // Deterministic expansion budget: always the canonical sequential DFS,
-    // so the anytime incumbent is byte-identical across thread counts.
-    result = search->FindOptimalDfs(seed_cost_v, &options.budget);
-  } else if (threads > 1) {
-    result = FindOptimalTopoParallel(*search, threads, seed_cost_v,
-                                     budgeted ? &options.budget : nullptr);
-  } else {
-    result = search->FindOptimalDfs(seed_cost_v,
-                                    budgeted ? &options.budget : nullptr);
-  }
+  Result<AllocationResult> result = search->FindOptimalDfs(
+      seed_cost_v, budgeted ? &options.budget : nullptr);
   if (!result.ok() && budgeted &&
       result.status().code() == StatusCode::kResourceExhausted) {
     // Degradation ladder stage 3: the budget fired before any complete path

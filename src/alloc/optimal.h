@@ -26,22 +26,20 @@ struct OptimalOptions {
   bool use_pruning = true;
   /// Forwarded to the underlying searches.
   uint64_t max_expansions = 200'000'000;
-  /// Worker threads for the topological-tree branch-and-bound. 1 runs the
-  /// single-threaded engine exactly as before; 0 resolves to the hardware
-  /// concurrency. The returned allocation is byte-identical for every value
-  /// (see src/exec/parallel_search.h for the determinism argument) — only
-  /// wall-clock and the search statistics change. The level-allocation and
-  /// one-channel data-tree fast paths ignore this knob.
+  /// No longer affects the exact search, which is single-threaded: every
+  /// value >= 0 returns the same allocation and statistics. Still rejected
+  /// when negative. Kept only because the benchmark in perfbench/ sets it;
+  /// to be removed when that benchmark is next re-cut.
   int num_threads = 1;
   /// Lower-bound estimate used by the topological-tree searches.
   TopoTreeSearch::BoundKind bound = TopoTreeSearch::BoundKind::kPacked;
 
   /// How the topological-tree branch-and-bound incumbent is seeded before
-  /// the first expansion. Seeding is a pure upper bound — the searches cut
+  /// the first expansion. Seeding is a pure upper bound — the search cuts
   /// children only when they estimate *strictly above* the seed — so the
-  /// returned slots/ADW are byte-identical across all three modes and every
-  /// thread count; only nodes_expanded / bound_cutoffs change (the
-  /// search.seed.* counters record the applied seed).
+  /// returned slots/ADW are byte-identical across all three modes; only
+  /// nodes_expanded / bound_cutoffs change (the search.seed.* counters
+  /// record the applied seed).
   enum class SeedIncumbent {
     /// Start from an infinite incumbent (the pre-seeding behavior).
     kNone,
@@ -64,10 +62,8 @@ struct OptimalOptions {
   /// With an active budget the search degrades instead of failing: a stop
   /// mid-search returns the incumbent tagged kAnytime with cost bounds, and
   /// a stop before any complete path falls back to SortingHeuristic tagged
-  /// kHeuristic. Determinism routing: budget.max_expansions > 0 forces the
-  /// canonical sequential DFS regardless of num_threads (byte-identical
-  /// anytime results across thread counts); deadline/cancel-only budgets
-  /// keep the parallel engine (wall-clock already broke determinism).
+  /// kHeuristic. A pure expansion budget is deterministic: the DFS visits
+  /// states in one canonical order.
   SearchBudget budget;
 };
 

@@ -9,6 +9,7 @@
 
 #include "obs/obs.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "verify/verifier.h"
 
 namespace bcast {
@@ -61,7 +62,78 @@ void ForEachKSubsetMask(const NodeId* items, int n, int k, Fn emit) {
   }
 }
 
+// Table size of the memo's first allocation (2 KiB): small enough that a
+// search of a few dozen states pays next to nothing for it.
+constexpr size_t kMemoInitialSlots = 64;
+
+// SplitMix64 over the full (mask, last_set, depth) key, so linear probing
+// does not cluster on the low-entropy depth field.
+// bcast: hot
+size_t MemoHash(uint64_t mask, uint64_t last_set, int depth) {
+  return static_cast<size_t>(
+      MixSeed(mask ^ (last_set * 0x9E3779B97F4A7C15ull) ^
+              (static_cast<uint64_t>(static_cast<uint32_t>(depth)) << 32)));
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Transposition memo
+// ---------------------------------------------------------------------------
+
+void TranspositionMemo::Clear() {
+  if (size_ == 0) return;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
+}
+
+void TranspositionMemo::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kMemoInitialSlots : 2 * old.size(), Slot{});
+  const size_t index_mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.mask == 0) continue;
+    size_t i = MemoHash(slot.mask, slot.last_set, slot.depth) & index_mask;
+    while (slots_[i].mask != 0) i = (i + 1) & index_mask;
+    slots_[i] = slot;
+  }
+}
+
+// bcast: hot — one probe sequence per entered state.
+bool TranspositionMemo::Dominated(uint64_t mask, uint64_t last_set, int depth,
+                                  double v, SearchStats* stats) {
+  // Keep the load at or below 1/2 while the cap still admits new entries.
+  if (2 * (size_ + 1) > slots_.size() && size_ < max_entries_) Grow();
+  if (slots_.empty()) {  // a zero cap records nothing
+    ++stats->store_evictions;
+    return false;
+  }
+  const size_t index_mask = slots_.size() - 1;
+  size_t i = MemoHash(mask, last_set, depth) & index_mask;
+  for (; slots_[i].mask != 0; i = (i + 1) & index_mask) {
+    Slot& slot = slots_[i];
+    if (slot.mask != mask || slot.last_set != last_set ||
+        slot.depth != depth) {
+      continue;
+    }
+    if (slot.v <= v) {
+      ++stats->store_hits;
+      return true;
+    }
+    slot.v = v;
+    ++stats->store_inserts;
+    ++stats->store_dominated;
+    return false;
+  }
+  if (size_ >= max_entries_) {
+    ++stats->store_evictions;
+    return false;
+  }
+  slots_[i] = Slot{mask, last_set, v, depth};
+  ++size_;
+  ++stats->store_inserts;
+  return false;
+}
 
 Result<TopoTreeSearch> TopoTreeSearch::Create(const IndexTree& tree,
                                               Options options) {
@@ -404,6 +476,9 @@ struct TopoTreeSearch::DfsContext {
   // borrows levels[d]; the recursive call at depth + 1 uses the next entry,
   // so no frame ever aliases another and nothing is copied between levels.
   std::vector<std::vector<uint64_t>>* levels = nullptr;
+  // The search object's memo (kOptimize only; null in the counting modes, so
+  // their counts never depend on it).
+  TranspositionMemo* memo = nullptr;
 };
 
 Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
@@ -434,6 +509,12 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
           std::min(ctx->frontier_lower, v + LowerBound(mask, depth));
       return Status::Ok();
     }
+  }
+  // Transposition memo: a non-goal state entered before at no greater V has
+  // no completion cheaper or lex-earlier than that earlier visit's — skip it.
+  if (ctx->memo != nullptr && mask != full_mask_ &&
+      ctx->memo->Dominated(mask, last_set, depth, v, &ctx->stats)) {
+    return Status::Ok();
   }
   ++ctx->stats.nodes_expanded;
   if (ctx->stats.nodes_expanded > options_.max_expansions) {
@@ -469,7 +550,8 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
   if (ctx->mode == DfsContext::Mode::kOptimize) {
     // Visit promising neighbors first so the incumbent tightens quickly. The
     // canonical order (not just weight-descending) pins which equal-cost
-    // optimum is found first, so the parallel engine can reproduce it.
+    // optimum is found first, and is what makes the memo's V-only dominance
+    // rule exact.
     std::sort(neighbors.begin(), neighbors.end(),
               [&](uint64_t a, uint64_t b) { return SubsetLess(a, b); });
   }
@@ -527,9 +609,8 @@ Result<uint64_t> TopoTreeSearch::CountTreeNodes(uint64_t limit) {
 }
 
 Result<SearchStats> TopoTreeSearch::ReducedTreeStats(uint64_t limit) {
-  // Full enumeration of the reduced tree (no bound, no incumbent), so the
-  // per-rule counts depend only on the tree and the options — in particular
-  // they are identical whatever thread count the optimizing engine used.
+  // Full enumeration of the reduced tree (no bound, no incumbent, no memo),
+  // so the per-rule counts depend only on the tree and the options.
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
@@ -546,6 +627,8 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
   ctx.mode = DfsContext::Mode::kOptimize;
   ctx.seed_bound = seed_cost_v;
   ctx.levels = &level_scratch_;
+  memo_.Clear();
+  ctx.memo = &memo_;
   if (budget != nullptr && budget->active()) {
     ctx.budget = budget;
     ctx.clock =

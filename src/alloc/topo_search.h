@@ -13,10 +13,13 @@
 //    rules (heaviest-prefix data, child-of-P requirement) and Step 4 local
 //    swap elimination (Lemmas 4/5 and the preorder-rank tie-break of
 //    Section 3.2);
-//  * two exact optimizers over the (possibly reduced) tree: depth-first
-//    branch-and-bound, and the paper's best-first search with
-//    E(X) = V(X) + U(X) (Section 3.1), where U(X) is an admissible estimate
-//    of the remaining data wait.
+//  * the exact optimizer over the (possibly reduced) tree: depth-first
+//    branch-and-bound on the paper's estimate E(X) = V(X) + U(X)
+//    (Section 3.1), where U(X) is an admissible estimate of the remaining
+//    data wait, with a transposition memo that skips a state already
+//    entered at no greater V (DESIGN.md §17);
+//  * the paper's best-first search on the same E(X), kept as a second,
+//    independent exact oracle for the tests.
 //
 // The search state is a bitmask of allocated nodes, so trees are limited to
 // 64 nodes — the regime the paper itself targets with the exact search
@@ -28,13 +31,15 @@
 // precomputed once at Create(), candidate sets are derived by OR/AND-NOT over
 // them, and k-subset generation enumerates combinations directly over the
 // 64-bit candidate mask. The depth-first optimizer draws its neighbor lists
-// from a per-depth scratch arena owned by the search object, so steady-state
-// expansion performs zero heap allocations (asserted by
+// from a per-depth scratch arena and its memo from a table, both owned by the
+// search object and reused across calls, so once they have grown a call
+// allocates the same whatever its expansion count (asserted by
 // tests/alloc_free_search_test.cc).
 
 #ifndef BCAST_ALLOC_TOPO_SEARCH_H_
 #define BCAST_ALLOC_TOPO_SEARCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -46,16 +51,58 @@
 
 namespace bcast {
 
+/// Transposition memo of the optimizing DFS (DESIGN.md §17). For each search
+/// state (mask, last_set, depth) it keeps the least accumulated weighted wait
+/// V with which the current search entered that state. Open addressing with
+/// linear probing; the table is allocated on the first record, doubles at
+/// load 1/2 and stops recording new states at `max_entries`.
+/// Single-threaded.
+class TranspositionMemo {
+ public:
+  static constexpr size_t kMaxEntries = size_t{1} << 21;
+
+  /// `max_entries` is lowered only by tests; the default never needs tuning.
+  explicit TranspositionMemo(size_t max_entries = kMaxEntries)
+      : max_entries_(max_entries) {}
+
+  /// Forgets every entry and keeps the table's memory for the next search.
+  void Clear();
+
+  /// True when the state was entered before at a V' <= v, so the caller
+  /// skips it (stats->store_hits). Otherwise records v and returns false:
+  /// store_inserts counts every record, store_dominated the records that
+  /// replaced a weaker entry, and store_evictions the states left unrecorded
+  /// because the table is at its entry cap (they are simply re-expanded).
+  bool Dominated(uint64_t mask, uint64_t last_set, int depth, double v,
+                 SearchStats* stats);
+
+  size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    uint64_t mask = 0;  // 0 = empty: every state's mask holds the root
+    uint64_t last_set = 0;
+    double v = 0.0;
+    int depth = 0;
+  };
+
+  // Doubles the table (or allocates the first one) and rehashes.
+  void Grow();
+
+  size_t max_entries_;
+  size_t size_ = 0;
+  std::vector<Slot> slots_;  // power-of-two size, or empty before use
+};
+
 /// Expands a root-to-leaf compound-set path of the topological tree into a
 /// slot sequence: slot 0 = {root}, slot s = the nodes of path[s-1] in
-/// ascending id order. Shared by the sequential and parallel engines so both
-/// materialize identical bytes for identical paths.
+/// ascending id order.
 SlotSequence CompoundPathToSlots(NodeId root, const std::vector<uint64_t>& path);
 
 /// Exact search over the k-channel topological tree.
 class TopoTreeSearch {
  public:
-  /// Lower-bound estimate U(X) used by both optimizers.
+  /// Lower-bound estimate U(X) used by the optimizer.
   enum class BoundKind {
     /// The paper's U(X): every unallocated data node lands in the very next
     /// slot. Admissible but loose.
@@ -94,12 +141,15 @@ class TopoTreeSearch {
 
   /// Full enumeration of the (possibly reduced) tree returning the complete
   /// SearchStats — in particular the per-rule PruneCounts. Unlike the
-  /// optimizers this walk never consults a bound or incumbent, so its counts
-  /// are a pure function of (tree, options): identical across runs and
-  /// thread counts. RESOURCE_EXHAUSTED beyond `limit` visited nodes.
+  /// optimizer this walk never consults a bound, incumbent or memo, so its
+  /// counts are a pure function of (tree, options). RESOURCE_EXHAUSTED
+  /// beyond `limit` visited nodes.
   Result<SearchStats> ReducedTreeStats(uint64_t limit);
 
-  /// Exact optimum by depth-first branch-and-bound.
+  /// Exact optimum by depth-first branch-and-bound. The returned path is the
+  /// first minimal-cost path in the canonical preorder (siblings visited in
+  /// SubsetLess order); the transposition memo never skips a state on it, so
+  /// the result is the same with or without the memo (DESIGN.md §17).
   ///
   /// `seed_cost_v` optionally seeds the incumbent with the total weighted
   /// wait V (ADW x total data weight) of a known feasible allocation — e.g.
@@ -123,7 +173,9 @@ class TopoTreeSearch {
       const SearchBudget* budget = nullptr);
 
   /// Exact optimum by the paper's best-first strategy (priority queue on
-  /// E(X) = V(X) + U(X), with dominance pruning on equal states).
+  /// E(X) = V(X) + U(X), with dominance pruning on equal states). Not used
+  /// by the planner: it is kept as an independent exact oracle that the
+  /// tests hold the memoized DFS against.
   ///
   /// `seed_cost_v` keeps states with E > seed out of the open list (counted
   /// as bound_cutoffs). The cost of the result is unaffected; unlike the DFS
@@ -133,11 +185,14 @@ class TopoTreeSearch {
   Result<AllocationResult> FindOptimalBestFirst(
       double seed_cost_v = std::numeric_limits<double>::infinity());
 
+  /// Replaces the memo with an empty one capped at `max_entries` (tests of
+  /// the cap only).
+  void ResetMemoForTesting(size_t max_entries) {
+    memo_ = TranspositionMemo(max_entries);
+  }
+
   // --- expansion building blocks ------------------------------------------
-  // Shared with the parallel engine (src/exec/parallel_search.h via the
-  // src/alloc/topo_parallel.h adapter) so both engines expand exactly the
-  // same reduced tree. All three are pure const reads of the finalized tree
-  // and the options — safe to call concurrently.
+  // Pure const reads of the finalized tree and the options.
 
   /// Sum of data weights inside a compound-set bitmask.
   double SetDataWeight(uint64_t set) const;
@@ -153,10 +208,9 @@ class TopoTreeSearch {
   double LowerBound(uint64_t mask, int depth) const;
 
   /// Canonical strict total order on sibling compound sets: data weight
-  /// descending, then bitmask ascending. Both exact engines visit neighbors
-  /// in this order, which makes "the first optimum found" a well-defined,
-  /// thread-count-independent allocation (the preorder tie-break of the
-  /// determinism contract).
+  /// descending, then bitmask ascending. The optimizer visits neighbors in
+  /// this order, which makes "the first optimum found" a well-defined
+  /// allocation (the preorder tie-break of the determinism contract).
   bool SubsetLess(uint64_t a, uint64_t b) const;
 
   /// Bitmask with every tree node allocated (the goal test).
@@ -195,10 +249,10 @@ class TopoTreeSearch {
   // Per-depth neighbor arenas for the depth-first walks (optimize and the
   // counting modes). Each depth owns one vector that grows to its high-water
   // mark on first descent and is reused ever after, so steady-state DFS
-  // expansion allocates nothing. Only the non-const entry points touch it —
-  // the const building blocks above stay safe for concurrent use by the
-  // parallel engine.
+  // expansion allocates nothing.
   std::vector<std::vector<uint64_t>> level_scratch_;
+  // The optimizer's transposition memo, cleared per call and reused.
+  TranspositionMemo memo_;
 };
 
 }  // namespace bcast

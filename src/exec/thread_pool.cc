@@ -205,10 +205,12 @@ void TaskGroup::Run(std::function<void()> task) {
     } else {
       obs::GetCounter("pool.tasks_skipped_cancelled").Increment();
     }
+    // Decrement under the lock: Wait() can then observe zero only after
+    // this thread has notified and released the lock, so the waiter cannot
+    // destroy the group (mutex and condition variable included) while the
+    // last task is still inside them.
+    MutexLock lock(&mutex_);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task out: pair with the Wait() predicate under the lock so the
-      // waiter cannot check-then-sleep between our decrement and notify.
-      MutexLock lock(&mutex_);
       cv_.NotifyAll();
     }
   });

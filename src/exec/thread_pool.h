@@ -1,16 +1,16 @@
-// Work-stealing thread pool: the execution substrate of the parallel search
-// engine (exec/parallel_search.h) and the batch planner (core/PlanMany).
+// Work-stealing thread pool: the execution substrate of the batch planner
+// (core/PlanMany) and the population simulator (popsim/popsim.h).
 //
-// Each worker owns a deque. The owner pushes and pops at the back (LIFO, so a
-// worker descends depth-first into the subtree it just split, keeping its
-// working set cache-hot); idle workers steal from the *front* of a victim's
-// deque (FIFO, so thieves take the oldest — and for branch-and-bound the
-// largest — subtasks, which amortizes the steal over the most work). External
-// (non-worker) submitters round-robin across the deques.
+// Each worker owns a deque. The owner pushes and pops at the back (LIFO, so
+// a task's own subtasks run while its working set is cache-hot); idle
+// workers steal from the *front* of a victim's deque (FIFO, so thieves take
+// the oldest — usually the largest — tasks, which amortizes the steal over
+// the most work). External (non-worker) submitters round-robin across the
+// deques.
 //
 // The pool knows nothing about search: tasks are plain std::function<void()>.
 // Determinism therefore cannot come from the executor — callers that need
-// order-independent results (ParallelSearch) must make every task outcome
+// order-independent results (PlanMany, popsim) must make every task outcome
 // commutative. Destruction drains: queued tasks (including tasks submitted by
 // running tasks) all execute before the workers join.
 //
@@ -173,9 +173,9 @@ class TaskGroup {
   ThreadPool* pool_;
   const CancelToken* cancel_;
   std::atomic<uint64_t> outstanding_{0};
-  // Pairs the last task's decrement-and-notify with Wait()'s predicate
-  // check; the count itself is the atomic above. first_error_ is the one
-  // genuinely guarded field.
+  // Every task's decrement and the last one's notify happen under this lock,
+  // which Wait()'s predicate check also holds; the count itself is the
+  // atomic above. first_error_ is the one genuinely guarded field.
   Mutex mutex_;
   CondVar cv_;
   Status first_error_ BCAST_GUARDED_BY(mutex_);

@@ -68,6 +68,9 @@ TEST(CliTest, PlanRejectsBadChannelCount) {
 }
 
 TEST(CliTest, PlanRejectsBadThreadCounts) {
+  // plan still validates --threads, although the exact search it feeds is
+  // single-threaded. It also sizes the adaptive server's planner pool (>= 1)
+  // and the population simulator's pool (>= 0, 0 = hardware).
   std::string out;
   EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--threads", "0"}, &out),
             1);
@@ -81,6 +84,19 @@ TEST(CliTest, PlanRejectsBadThreadCounts) {
   EXPECT_EQ(RunCommand({"simulate", "--tree", kExampleTree, "--threads", "0"}, &out),
             1);
   EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
+  EXPECT_EQ(RunCommand({"simulate", "--cycles", "2", "--threads", "0"}, &out),
+            1);
+  EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
+  EXPECT_EQ(RunCommand({"simulate", "--cycles", "2", "--threads=-3"}, &out),
+            1);
+  EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
+  EXPECT_EQ(RunCommand({"simulate", "--cycles", "2", "--threads", "two"}, &out),
+            1);
+  EXPECT_NE(out.find("expects an integer"), std::string::npos);
+  EXPECT_EQ(RunCommand({"popsim", "--tree", kExampleTree, "--threads", "-1"},
+                       &out),
+            1);
+  EXPECT_NE(out.find("--threads must be >= 0"), std::string::npos);
 }
 
 TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
@@ -93,8 +109,8 @@ TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
                      "--strategy", "optimal", "--threads", "4"},
                     &parallel);
   ASSERT_EQ(code, 0) << parallel;
-  // Determinism contract: the printed schedule and costs are identical
-  // character for character, whatever the thread count.
+  // --threads no longer changes the (single-threaded) exact search, so the
+  // output is the same character for character.
   EXPECT_EQ(single, parallel);
   EXPECT_NE(parallel.find("average data wait : 3.77143"), std::string::npos);
 }

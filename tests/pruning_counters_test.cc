@@ -118,9 +118,9 @@ std::map<std::string, uint64_t> PruningCounters(
 
 TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
   // Acceptance criterion: the published pruning.* counters are a pure
-  // function of (tree, options) — running the optimizer with 1 or 8 threads
-  // must produce byte-identical breakdowns, even though the live search.*
-  // telemetry legitimately varies run to run.
+  // function of (tree, options). A second run that changes num_threads and
+  // drops the incumbent seed — which moves the live search.* counters —
+  // must publish a byte-identical breakdown.
   for (uint64_t seed = 0; seed < 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 0x9E3779B9u + 1);
@@ -130,27 +130,23 @@ TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
     // Corollary 1 instances never search (and so publish no breakdown).
     if (k >= tree.max_level_width()) continue;
 
-    std::map<std::string, uint64_t> reference;
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
+    auto breakdown = [&](const OptimalOptions& options) {
       obs::Registry registry;
-      OptimalOptions options;
-      options.num_threads = threads;
       {
         obs::ScopedObservability scope(&registry, nullptr);
         auto result = FindOptimalAllocation(tree, k, options);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
       }
-      std::map<std::string, uint64_t> pruning =
-          PruningCounters(registry.Snapshot());
-      ASSERT_FALSE(pruning.empty());
-      EXPECT_EQ(pruning.count("pruning.breakdown_truncated"), 0u);
-      if (threads == 1) {
-        reference = pruning;
-      } else {
-        EXPECT_EQ(pruning, reference);
-      }
-    }
+      return PruningCounters(registry.Snapshot());
+    };
+    const std::map<std::string, uint64_t> reference =
+        breakdown(OptimalOptions{});
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(reference.count("pruning.breakdown_truncated"), 0u);
+    OptimalOptions other;
+    other.num_threads = 8;
+    other.seed_incumbent = OptimalOptions::SeedIncumbent::kNone;
+    EXPECT_EQ(breakdown(other), reference);
   }
 }
 
@@ -161,9 +157,7 @@ TEST(PruningCountersTest, PaperExampleBreakdownThroughTheFacade) {
   obs::Registry registry;
   {
     obs::ScopedObservability scope(&registry, nullptr);
-    OptimalOptions options;
-    options.num_threads = 8;
-    auto result = FindOptimalAllocation(tree, 2, options);
+    auto result = FindOptimalAllocation(tree, 2, OptimalOptions{});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   obs::MetricsSnapshot snapshot = registry.Snapshot();

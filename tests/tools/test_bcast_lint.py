@@ -72,7 +72,7 @@ class DeterminismRuleTest(LintTreeTestCase):
 
     def test_unordered_declaration_with_attribute_macro(self):
         # The declared name may be followed by BCAST_GUARDED_BY(...) — the
-        # real pattern in parallel_search.cc's sharded cache.
+        # pattern of a mutex-guarded member map.
         self.write("src/core/x.cc",
                    "std::unordered_map<int, int> states\n"
                    "    BCAST_GUARDED_BY(mutex);\n"

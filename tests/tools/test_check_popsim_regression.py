@@ -134,7 +134,7 @@ class CheckPopsimRegressionTest(unittest.TestCase):
     def test_wrong_bench_kind_exits_two(self):
         baseline = self.write_json("b.json", report([instance("z", "aa", 1)]))
         other = self.write_json(
-            "c.json", {"bench": "parallel_search", "instances": []})
+            "c.json", {"bench": "exact_search", "instances": []})
         self.assertEqual(self.run_check(baseline, other).returncode, 2)
 
     def test_missing_file_exits_two(self):

@@ -177,6 +177,62 @@ TEST(TopoSearchTest, WideChannelsMakeLevelAllocationOptimal) {
   }
 }
 
+// --- transposition memo ------------------------------------------------------
+
+// deep18_k3 of bench/bench_exact_search.cc: a near-chain tree whose search
+// reaches the same states along many prefixes.
+IndexTree DeepTree() {
+  Rng rng(2);
+  return MakeRandomTree(&rng, /*num_data=*/18, /*max_fanout=*/2);
+}
+
+TEST(TopoSearchTest, MemoGrowsPastItsFirstTableWithoutChangingTheResult) {
+  IndexTree tree = DeepTree();
+  auto memoized = TopoTreeSearch::Create(tree, MakeOptions(3, true));
+  auto plain = TopoTreeSearch::Create(tree, MakeOptions(3, true));
+  ASSERT_TRUE(memoized.ok() && plain.ok());
+  plain->ResetMemoForTesting(0);  // records nothing: the plain DFS
+  auto with_memo = memoized->FindOptimalDfs();
+  auto without = plain->FindOptimalDfs();
+  ASSERT_TRUE(with_memo.ok()) << with_memo.status().ToString();
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+
+  EXPECT_EQ(with_memo->slots, without->slots);
+  EXPECT_EQ(with_memo->average_data_wait, without->average_data_wait);
+  const SearchStats& stats = with_memo->stats;
+  EXPECT_GT(stats.store_hits, 0u);
+  EXPECT_EQ(stats.store_evictions, 0u);
+  // Far more live entries than the first 64-slot table holds at load 1/2.
+  EXPECT_GT(stats.store_inserts - stats.store_dominated, 1000u);
+  EXPECT_LT(stats.nodes_expanded, without->stats.nodes_expanded);
+  EXPECT_EQ(without->stats.store_hits, 0u);
+
+  // A second call on the same object reuses the cleared table and repeats
+  // the first call exactly.
+  auto again = memoized->FindOptimalDfs();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->slots, with_memo->slots);
+  EXPECT_EQ(again->stats.nodes_expanded, stats.nodes_expanded);
+  EXPECT_EQ(again->stats.store_hits, stats.store_hits);
+}
+
+TEST(TopoSearchTest, MemoEntryCapLeavesTheResultUnchanged) {
+  IndexTree tree = DeepTree();
+  auto search = TopoTreeSearch::Create(tree, MakeOptions(3, true));
+  ASSERT_TRUE(search.ok());
+  auto reference = search->FindOptimalDfs();
+  ASSERT_TRUE(reference.ok());
+
+  search->ResetMemoForTesting(4);
+  auto capped = search->FindOptimalDfs();
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped->slots, reference->slots);
+  EXPECT_EQ(capped->average_data_wait, reference->average_data_wait);
+  EXPECT_GT(capped->stats.store_evictions, 0u);
+  EXPECT_LE(capped->stats.store_inserts - capped->stats.store_dominated, 4u);
+  EXPECT_GT(capped->stats.nodes_expanded, reference->stats.nodes_expanded);
+}
+
 // --- error paths -------------------------------------------------------------
 
 TEST(TopoSearchTest, RejectsOversizedTrees) {

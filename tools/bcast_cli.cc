@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "core/bcast.h"
-#include "exec/thread_pool.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
@@ -187,7 +186,9 @@ Result<IndexTree> LoadTree(const FlagMap& flags) {
   return ParseTree(text);
 }
 
-// --threads: worker threads for the exact search. The CLI requires an
+// --threads: planner threads of the adaptive server. `plan` and `simulate`
+// still accept and validate it and pass it on as OptimalOptions::num_threads,
+// which no longer changes the (single-threaded) exact search. The CLI requires an
 // explicit positive count (no 0-means-hardware shorthand: a script that says
 // 0 almost certainly meant to disable parallelism, not max it out).
 Result<int> LoadThreads(const FlagMap& flags) {
@@ -801,8 +802,6 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
     auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
     if (!strategy.ok()) return strategy.status();
     plan_options.strategy = *strategy;
-    plan_options.optimal.num_threads =
-        *threads > 0 ? *threads : ThreadPool::HardwareConcurrency();
     BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
     plan_options.replication.root_copies = *copies;

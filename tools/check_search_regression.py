@@ -1,44 +1,25 @@
 #!/usr/bin/env python3
-"""Search-performance regression gate for bench_parallel_search.
+"""Search-performance regression gate for bench_exact_search.
 
-Compares a freshly generated bench_parallel_search --json report against the
-committed baseline (BENCH_parallel_search.json) on two axes:
+Compares a freshly generated bench_exact_search --json report against the
+committed baseline (BENCH_exact_search.json) on *expansion counts* —
+`dfs_expansions_unseeded` and `dfs_expansions_seeded` per instance — and
+fails when any count grew by more than --max-growth.
 
-1. *Expansion counts* — `dfs_expansions_unseeded` and `dfs_expansions_seeded`
-   per instance — fail when any count grew by more than --max-growth.
-   Expansion counts are the right primary gate for a branch-and-bound: they
-   are exactly reproducible (fixed RNG seeds, sequential DFS, no thread
-   scheduling in the number), so unlike wall time the comparison works on
-   noisy shared CI runners and a 2% budget is meaningful. A count increase
-   means the pruning rules, the bound, or the incumbent seeding genuinely got
-   weaker — not that the runner was busy.
+Expansion counts are the right gate for a branch-and-bound: they are exactly
+reproducible (fixed RNG seeds, one sequential DFS), so unlike wall time the
+comparison works on noisy shared CI runners and a 2% budget is meaningful. A
+count increase means the pruning rules, the bound, the incumbent seeding or
+the transposition memo genuinely got weaker — not that the runner was busy.
 
-2. *Parallel scaling* — per-(instance, threads) `speedup_vs_1` from the runs
-   arrays. Wall-clock ratios are noisy, so the gate tolerates a relative drop
-   of --speedup-slack (default 10%) before failing. Scaling cells are only
-   compared when the current host can actually run that many threads
-   (`host_hardware_concurrency` in the current report >= the cell's thread
-   count); cells beyond the host's parallelism are reported as SKIP — an
-   8-thread speedup measured on a 1-core container is scheduling noise, not a
-   regression signal.
+Shrinking counts are reported but never fail the gate; improvements should
+be committed by regenerating the baseline (bench_exact_search --json).
 
-Additionally `--require-speedup T:S` asserts the current report demonstrates
-real scaling: at least one instance must have a T-thread run with
-speedup_vs_1 >= S. The same CPU-awareness applies: when the current host has
-fewer than T hardware threads the requirement is reported as SKIP and passes,
-because the machine is physically incapable of exhibiting the speedup.
-
-Shrinking counts and improving speedups are reported but never fail the gate;
-improvements should be committed by regenerating the baseline
-(bench_parallel_search --json).
-
-Exit codes: 0 pass (including SKIPped scaling gates), 1 regression,
-2 unusable input (unreadable/malformed reports, malformed scaling records,
---require-speedup against a report without host_hardware_concurrency).
+Exit codes: 0 pass, 1 regression, 2 unusable input (unreadable or
+malformed reports).
 
 Usage:
-  check_search_regression.py baseline.json current.json
-      [--max-growth 0.02] [--speedup-slack 0.10] [--require-speedup T:S]
+  check_search_regression.py baseline.json current.json [--max-growth 0.02]
 """
 
 import argparse
@@ -48,7 +29,7 @@ import sys
 GATED_FIELDS = ("dfs_expansions_unseeded", "dfs_expansions_seeded")
 
 
-def load_report(path):
+def load_counts(path):
     try:
         with open(path) as f:
             report = json.load(f)
@@ -60,23 +41,12 @@ def load_report(path):
         print(f"check_search_regression: {path} is not valid JSON: {error}",
               file=sys.stderr)
         sys.exit(2)
-    if not isinstance(report, dict) or report.get("bench") != "parallel_search":
-        print(f"check_search_regression: {path} is not a parallel_search "
+    if not isinstance(report, dict) or report.get("bench") != "exact_search":
+        print(f"check_search_regression: {path} is not an exact_search "
               "report", file=sys.stderr)
         sys.exit(2)
 
-    host_concurrency = None
-    if "host_hardware_concurrency" in report:
-        try:
-            host_concurrency = int(report["host_hardware_concurrency"])
-        except (TypeError, ValueError) as error:
-            print(f"check_search_regression: malformed "
-                  f"host_hardware_concurrency in {path}: {error}",
-                  file=sys.stderr)
-            sys.exit(2)
-
     counts = {}
-    speedups = {}
     for instance in report.get("instances", []):
         try:
             name = instance["name"]
@@ -92,33 +62,7 @@ def load_report(path):
             print(f"check_search_regression: malformed instance record in "
                   f"{path}: {error}", file=sys.stderr)
             sys.exit(2)
-        # Scaling cells. `runs` absent entirely is forward-compatible (a
-        # counts-only report); a run record missing/garbling its scaling
-        # fields is a hard error — a half-written runs array must never
-        # silently pass the scaling gate.
-        for run in instance.get("runs", []):
-            try:
-                threads = int(run["threads"])
-                speedups[(name, threads)] = float(run["speedup_vs_1"])
-            except (KeyError, TypeError, ValueError) as error:
-                print(f"check_search_regression: malformed scaling record in "
-                      f"{path} instance {name!r}: {error}", file=sys.stderr)
-                sys.exit(2)
-    return {"counts": counts, "speedups": speedups,
-            "host_concurrency": host_concurrency}
-
-
-def parse_require_speedup(spec):
-    try:
-        threads_text, _, speedup_text = spec.partition(":")
-        threads = int(threads_text)
-        speedup = float(speedup_text)
-        if threads < 1 or speedup <= 0.0:
-            raise ValueError(spec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected THREADS:SPEEDUP (e.g. 8:4.0), got {spec!r}")
-    return threads, speedup
+    return counts
 
 
 def gate_counts(baseline, current, max_growth):
@@ -157,101 +101,16 @@ def gate_counts(baseline, current, max_growth):
     return len(failures)
 
 
-def gate_speedups(baseline, current, slack, host_concurrency):
-    """speedup_vs_1 comparison with slack. Returns the number of failures."""
-    shared = sorted(set(baseline) & set(current))
-    compared = 0
-    skipped = 0
-    failures = []
-    for key in shared:
-        name, threads = key
-        if threads <= 1:
-            continue  # speedup_vs_1 is 1.0 by construction
-        if host_concurrency is not None and host_concurrency < threads:
-            skipped += 1
-            print(f"  {name:12s} speedup@{threads:<2d} SKIP (host has "
-                  f"{host_concurrency} hardware threads)")
-            continue
-        compared += 1
-        before, after = baseline[key], current[key]
-        floor = before * (1.0 - slack)
-        marker = ""
-        if after < floor:
-            failures.append((name, threads, before, after))
-            marker = "  <-- REGRESSION"
-        print(f"  {name:12s} speedup@{threads:<2d} {before:6.2f} -> "
-              f"{after:6.2f}  (floor {floor:.2f}){marker}")
-    print(f"speedups compared : {compared} (skipped {skipped})")
-    print(f"speedup slack     : {100.0 * slack:.0f}% relative drop")
-    for name, threads, before, after in failures:
-        print(f"check_search_regression: FAIL — {name} speedup@{threads} "
-              f"dropped {before:.2f} -> {after:.2f} (slack "
-              f"{100.0 * slack:.0f}%)", file=sys.stderr)
-    return len(failures)
-
-
-def gate_required_speedup(speedups, host_concurrency, threads, required):
-    """--require-speedup T:S against the current report. Returns failures."""
-    if host_concurrency is None:
-        print("check_search_regression: --require-speedup needs "
-              "host_hardware_concurrency in the current report (regenerate "
-              "with the current bench binary)", file=sys.stderr)
-        sys.exit(2)
-    if host_concurrency < threads:
-        print(f"required speedup  : SKIP — host has {host_concurrency} "
-              f"hardware threads, gate needs {threads}")
-        return 0
-    cells = {name: value for (name, t), value in speedups.items()
-             if t == threads}
-    best_name, best = None, -1.0
-    for name, value in cells.items():
-        if value > best:
-            best_name, best = name, value
-    if best >= required:
-        print(f"required speedup  : OK — {best_name} reaches {best:.2f}x at "
-              f"{threads} threads (need {required:.2f}x)")
-        return 0
-    if best_name is None:
-        print(f"check_search_regression: FAIL — no {threads}-thread runs in "
-              "the current report to satisfy --require-speedup",
-              file=sys.stderr)
-    else:
-        print(f"check_search_regression: FAIL — best {threads}-thread "
-              f"speedup is {best:.2f}x ({best_name}), gate requires "
-              f"{required:.2f}x", file=sys.stderr)
-    return 1
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed BENCH_parallel_search.json")
+    parser.add_argument("baseline", help="committed BENCH_exact_search.json")
     parser.add_argument("current", help="freshly generated report")
     parser.add_argument("--max-growth", type=float, default=0.02,
                         help="allowed per-count growth (default 0.02 = 2%%)")
-    parser.add_argument("--speedup-slack", type=float, default=0.10,
-                        help="allowed relative speedup_vs_1 drop per scaling "
-                             "cell (default 0.10 = 10%%)")
-    parser.add_argument("--require-speedup", type=parse_require_speedup,
-                        metavar="T:S", default=None,
-                        help="require >= 1 instance with T-thread "
-                             "speedup_vs_1 >= S in the current report "
-                             "(skipped when the host has < T hardware "
-                             "threads)")
     args = parser.parse_args()
 
-    baseline = load_report(args.baseline)
-    current = load_report(args.current)
-
-    failures = gate_counts(baseline["counts"], current["counts"],
-                           args.max_growth)
-    failures += gate_speedups(baseline["speedups"], current["speedups"],
-                              args.speedup_slack,
-                              current["host_concurrency"])
-    if args.require_speedup is not None:
-        threads, required = args.require_speedup
-        failures += gate_required_speedup(current["speedups"],
-                                          current["host_concurrency"],
-                                          threads, required)
+    failures = gate_counts(load_counts(args.baseline),
+                           load_counts(args.current), args.max_growth)
     if failures:
         return 1
     print("check_search_regression: OK")
