@@ -7,9 +7,9 @@
 //     1% Bernoulli loss with corruption, full recovery ladder. Completing
 //     this cell with fault injection on is the scale acceptance bar.
 //   * burst_degraded_100k — Gilbert–Elliott bursts plus a degraded client
-//     fraction on a worse medium: the draw-heavy replayed-stream path.
-//   * doze_uniform_100k — multi-cycle arrival horizon with dozing clients:
-//     the sparse wake-calendar path.
+//     fraction on a worse medium: the draw-heavy fault-stream path.
+//   * doze_uniform_100k — multi-cycle arrival horizon with dozing clients on
+//     a lossless medium: long, sparse slot spans per shard.
 //
 // Every instance runs a {1, 2, 8}-thread grid. The outcome digest must be
 // identical across the grid (per-client streams are keyed by client id, so
@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bursty medium + degraded fraction: the replayed-stream heavy path.
+  // Bursty medium + degraded fraction: the draw-heavy fault-stream path.
   {
     ChannelLossSpec burst;
     burst.kind = LossModelKind::kGilbertElliott;
@@ -396,8 +396,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sparse calendar: arrivals spread over 8 cycles, a third of the fleet
-  // dozing up to 10 extra cycles, lossless medium.
+  // Sparse arrivals: spread over 8 cycles, a third of the fleet dozing up
+  // to 10 extra cycles, lossless medium.
   {
     PopSimOptions options;
     options.population.interest = PopulationSpec::Interest::kUniform;

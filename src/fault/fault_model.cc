@@ -125,8 +125,39 @@ FaultProcess::FaultProcess(const FaultModel& model, Rng* rng)
 BucketOutcome FaultProcess::Observe(int channel, int64_t slot) {
   const ChannelLossSpec& spec = model_.channel(channel);
   if (!spec.active()) return BucketOutcome::kOk;
-  return ObserveChannelSlot(spec, &states_[static_cast<size_t>(channel)], slot,
-                            rng_);
+
+  bool faulted = false;
+  switch (spec.kind) {
+    case LossModelKind::kNone:
+      return BucketOutcome::kOk;
+    case LossModelKind::kBernoulli:
+      faulted = rng_->Bernoulli(spec.loss_prob);
+      break;
+    case LossModelKind::kGilbertElliott: {
+      ChannelState& state = states_[static_cast<size_t>(channel)];
+      if (!state.initialized) {
+        state.bad = rng_->Bernoulli(spec.StationaryBadProbability());
+        state.last_slot = slot;
+        state.initialized = true;
+      } else {
+        BCAST_CHECK_GE(slot, state.last_slot)
+            << "fault observations on a channel must move forward in time";
+        // Advance the chain one transition per elapsed slot; the client's
+        // listening pattern is sparse but bursts must still line up with
+        // wall-clock slots.
+        while (state.last_slot < slot) {
+          double p_leave = state.bad ? spec.p_bad_to_good : spec.p_good_to_bad;
+          if (rng_->Bernoulli(p_leave)) state.bad = !state.bad;
+          ++state.last_slot;
+        }
+      }
+      faulted = rng_->Bernoulli(state.bad ? spec.loss_bad : spec.loss_good);
+      break;
+    }
+  }
+  if (!faulted) return BucketOutcome::kOk;
+  return rng_->Bernoulli(spec.corrupt_fraction) ? BucketOutcome::kCorrupted
+                                                : BucketOutcome::kLost;
 }
 
 }  // namespace bcast

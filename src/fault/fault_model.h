@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "util/check.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -114,61 +113,6 @@ enum class BucketOutcome : uint8_t {
   kCorrupted,  // received but failed the checksum
 };
 
-/// Lazily realized state of one channel's loss chain (Gilbert–Elliott; the
-/// memoryless models never touch it). Public so struct-of-arrays simulators
-/// can store one per (client, channel) without a FaultProcess object.
-struct FaultChannelState {
-  bool initialized = false;
-  bool bad = false;       // current Gilbert–Elliott state
-  int64_t last_slot = 0;  // slot the state refers to
-};
-
-/// One chain/loss step: the outcome of listening to a `spec` channel during
-/// absolute slot `slot`, advancing `state` from its last observed slot.
-/// Templated on the draw source so every consumer — FaultProcess over a full
-/// Rng, the population simulator over its per-client replayed streams —
-/// realizes *bit-identical* fault sequences from identical seeds. RngT needs
-/// Bernoulli(double); observations on one channel must move forward in time.
-template <typename RngT>
-BucketOutcome ObserveChannelSlot(const ChannelLossSpec& spec,
-                                 FaultChannelState* state, int64_t slot,
-                                 RngT* rng) {
-  if (!spec.active()) return BucketOutcome::kOk;
-
-  bool faulted = false;
-  switch (spec.kind) {
-    case LossModelKind::kNone:
-      return BucketOutcome::kOk;
-    case LossModelKind::kBernoulli:
-      faulted = rng->Bernoulli(spec.loss_prob);
-      break;
-    case LossModelKind::kGilbertElliott: {
-      if (!state->initialized) {
-        state->bad = rng->Bernoulli(spec.StationaryBadProbability());
-        state->last_slot = slot;
-        state->initialized = true;
-      } else {
-        BCAST_CHECK_GE(slot, state->last_slot)
-            << "fault observations on a channel must move forward in time";
-        // Advance the chain one transition per elapsed slot; the client's
-        // listening pattern is sparse but bursts must still line up with
-        // wall-clock slots.
-        while (state->last_slot < slot) {
-          double p_leave =
-              state->bad ? spec.p_bad_to_good : spec.p_good_to_bad;
-          if (rng->Bernoulli(p_leave)) state->bad = !state->bad;
-          ++state->last_slot;
-        }
-      }
-      faulted = rng->Bernoulli(state->bad ? spec.loss_bad : spec.loss_good);
-      break;
-    }
-  }
-  if (!faulted) return BucketOutcome::kOk;
-  return rng->Bernoulli(spec.corrupt_fraction) ? BucketOutcome::kCorrupted
-                                               : BucketOutcome::kLost;
-}
-
 /// One realization of the faulty medium, observed lazily along a client's
 /// listening pattern. Per channel the Gilbert–Elliott chain is initialized
 /// from its stationary distribution at the first observed slot and advanced
@@ -184,6 +128,14 @@ class FaultProcess {
   BucketOutcome Observe(int channel, int64_t slot);
 
  private:
+  /// Lazily realized state of one channel's loss chain (Gilbert–Elliott; the
+  /// memoryless models never touch it).
+  struct ChannelState {
+    bool initialized = false;
+    bool bad = false;       // current Gilbert–Elliott state
+    int64_t last_slot = 0;  // slot the state refers to
+  };
+
   const FaultModel& model_;
   Rng* rng_;
   // Thread-confined, deliberately unannotated (util/thread_annotations.h
@@ -191,7 +143,7 @@ class FaultProcess {
   // lazily realized per-channel states are only ever touched from that
   // client's Observe() calls — there is no lock whose capability could
   // guard them.
-  std::vector<FaultChannelState> states_;
+  std::vector<ChannelState> states_;
 };
 
 }  // namespace bcast

@@ -1,30 +1,26 @@
 // Population simulator: the access protocol of Section 2.1 replayed by an
-// entire client fleet at once.
+// entire client fleet.
 //
-// Where sim/client_sim.h walks one client start-to-finish per query, this
-// engine keeps the whole population in flight as struct-of-arrays state (per
-// client: protocol phase, pointer-chain hop, recovery rung, resume cursor,
-// listening channel, accumulators) and advances broadcast time slot by slot:
-// each slot, the clients waking in that slot's wake-list bucket observe their
-// bucket, transition, and re-enqueue at their next listening slot. Dozing
-// clients cost nothing — only listening clients are ever touched.
+// A fleet driver: every client's access is one ClientSimulator::AccessOnce
+// call (sim/client_sim.h), the only implementation of the protocol. Clients
+// never interact — the broadcast medium is read-only and fault realizations
+// are per-client — so no shared calendar of broadcast time is needed: each
+// client runs start to finish, in id order within its shard.
 //
 // Scale-out and determinism contract:
 //   * The fleet is split into shards (contiguous client-id ranges) that run
-//     as tasks on the work-stealing exec::ThreadPool. Clients never interact
-//     — the broadcast medium is read-only and fault realizations are
-//     per-client — so shards need no synchronization at all.
+//     as tasks on the work-stealing exec::ThreadPool. Each shard writes its
+//     own slice of the outcome array and shares nothing else mutable, so
+//     shards need no synchronization at all.
 //   * Client c's randomness comes exclusively from the keyed substream
 //     Substream(RngStream::kClient, c) of the run seed: target and arrival
-//     from that generator, fault draws from *its* kFault substream (held as a
-//     popsim/replay_rng.h stream, bit-identical to a live Rng). No draw
+//     from that generator, fault draws from *its* kFault substream. No draw
 //     depends on scheduling, so every per-client outcome — and the id-ordered
 //     digest over them — is identical across shard layouts and thread counts.
-//   * The protocol semantics (probe, pointer-chain descent, and the
-//     three-stage recovery ladder: retry / cycle restart / sequential scan)
-//     replicate ClientSimulator::AccessOnce exactly. The differential test in
-//     tests/popsim_test.cc pins per-client equality, with and without faults,
-//     against a loop over ClientSimulator with identically derived seeds.
+//   * With the default population spec, client c is exactly one
+//     ClientSimulator::Run query under Rng Substream(kClient, c); the
+//     differential tests in tests/popsim_test.cc pin that stream derivation
+//     and the counter folding, and golden digests pin the outcomes.
 //
 // Population shape (interest mix, arrival horizon, dozing, per-client loss
 // regimes) comes from workload/population.h.
@@ -33,6 +29,7 @@
 #define BCAST_POPSIM_POPSIM_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc/replication.h"
@@ -76,16 +73,6 @@ struct PopSimOptions {
   obs::TelemetryPipeline* telemetry = nullptr;
 };
 
-/// One client's terminal outcome. Waits are in buckets (slot times);
-/// probe_wait/data_wait are meaningful only when success is true.
-struct ClientOutcome {
-  bool success = false;
-  double probe_wait = 0.0;
-  double data_wait = 0.0;
-  uint32_t tuning = 0;
-  uint32_t switches = 0;
-};
-
 /// Population-level aggregates. Means and percentiles are over *successful*
 /// clients (the ClientSimulator convention); failures are visible through
 /// num_succeeded / success_rate only.
@@ -113,7 +100,9 @@ struct PopReport {
   uint64_t cycle_restarts = 0;
   uint64_t sequential_scans = 0;
 
-  /// Wake-list slots advanced, summed over shards (idle slots included).
+  /// Broadcast slots each shard's clients span — from the shard's earliest
+  /// arrival slot to the latest slot any of its clients listened to,
+  /// inclusive — summed over shards.
   uint64_t slots_processed = 0;
   /// Largest absolute slot any client finished or gave up at.
   int64_t last_slot = 0;
@@ -151,48 +140,21 @@ class PopulationSimulator {
   Result<PopReport> Run(const PopSimOptions& options,
                         std::vector<ClientOutcome>* per_client = nullptr) const;
 
-  int num_channels() const { return num_channels_; }
-  int64_t cycle_length() const { return cycle_length_; }
+  int num_channels() const { return sim_.num_channels(); }
+  int64_t cycle_length() const { return sim_.cycle_length(); }
 
  private:
-  struct Occurrence {
-    int slot = -1;
-    int channel = 0;
-  };
-  struct Fleet;       // id-ordered terminal-outcome arrays (popsim.cc)
-  struct Shard;       // one shard's transient SoA working state (popsim.cc)
   struct ShardStats;  // per-shard counters (popsim.cc)
 
-  explicit PopulationSimulator(const IndexTree& tree, bool replicated);
+  explicit PopulationSimulator(ClientSimulator sim) : sim_(std::move(sim)) {}
 
-  // Precomputes the root->target pointer path of every data node.
-  void BuildPaths();
-
-  // Shared protocol geometry (mirrors ClientSimulator).
-  Occurrence NextOccurrence(NodeId node, int64_t time, int64_t* abs_slot) const;
-  int64_t NextCycleStart(int64_t time) const {
-    return ((time + cycle_length_ - 1) / cycle_length_) * cycle_length_;
-  }
-
-  // Runs clients [begin, end) to completion: per-client init (keyed stream,
-  // workload draw) then the calendar-ring wake-list loop over slots.
+  // Runs clients [begin, end) to completion in id order: keyed stream,
+  // workload draw, then one AccessOnce per client.
   void RunShard(uint64_t begin, uint64_t end, const PopSimOptions& options,
                 const PopulationSampler& sampler, const Rng& base,
-                Fleet* fleet, ShardStats* stats) const;
+                ClientOutcome* fleet, ShardStats* stats) const;
 
-  // One client's transition at its wake slot `t`; returns the next wake slot
-  // (strictly > t) or -1 when the client reached a terminal phase.
-  int64_t Step(Shard* shard, uint32_t idx, int64_t t,
-               const RecoveryOptions& recovery, Fleet* fleet,
-               ShardStats* stats) const;
-
-  const IndexTree& tree_;
-  bool replicated_ = false;
-  int num_channels_ = 0;
-  int64_t cycle_length_ = 0;
-  std::vector<std::vector<Occurrence>> occurrences_;  // by node
-  std::vector<NodeId> grid_;  // channel-major: grid_[c * cycle + s]
-  std::vector<std::vector<NodeId>> paths_;  // root->target path, data nodes
+  ClientSimulator sim_;
 };
 
 }  // namespace bcast

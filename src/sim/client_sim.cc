@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "broadcast/pointers.h"
@@ -60,6 +61,7 @@ Result<ClientSimulator> ClientSimulator::Create(
       BCAST_CHECK_EQ(ptr.channel, target_ref.channel);
     }
   }
+  sim.BuildPaths();
   return sim;
 }
 
@@ -80,11 +82,22 @@ Result<ClientSimulator> ClientSimulator::Create(
       sim.occurrences_[static_cast<size_t>(node)].push_back({s, c});
     }
   }
+  sim.BuildPaths();
   return sim;
 }
 
 ClientSimulator::ClientSimulator(const IndexTree& tree, bool replicated)
     : tree_(tree), sampler_(tree), replicated_(replicated) {}
+
+void ClientSimulator::BuildPaths() {
+  paths_.assign(static_cast<size_t>(tree_.num_nodes()), {});
+  for (NodeId id = 0; id < tree_.num_nodes(); ++id) {
+    if (!tree_.is_data(id)) continue;
+    std::vector<NodeId> path = tree_.AncestorsOf(id);
+    path.push_back(id);
+    paths_[static_cast<size_t>(id)] = std::move(path);
+  }
+}
 
 ClientSimulator::Occurrence ClientSimulator::NextOccurrence(
     NodeId node, int64_t time, int64_t* abs_slot) const {
@@ -111,10 +124,11 @@ int64_t ClientSimulator::NextCycleStart(int64_t time) const {
   return ((time + cycle - 1) / cycle) * cycle;
 }
 
-ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
-    NodeId target, double arrival, FaultProcess* medium,
-    const RecoveryOptions& recovery, SimReport* report) const {
-  QueryOutcome out;
+ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
+                                          FaultProcess* medium,
+                                          const RecoveryOptions& recovery,
+                                          SimReport* report) const {
+  ClientOutcome out;
   const int64_t cycle = cycle_length_;
   int last_channel = 0;  // the client starts on the first channel
 
@@ -130,6 +144,7 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
     if (!first) ++report->retries;
     first = false;
     ++out.tuning;
+    out.last_slot = probe_slot;
     BucketOutcome got =
         medium ? medium->Observe(0, probe_slot) : BucketOutcome::kOk;
     if (got == BucketOutcome::kOk) {
@@ -156,18 +171,15 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
 
   // Phase 2: descend the pointer chain root -> ... -> target, retrying each
   // unusable bucket at the node's next occurrence, backing off to the next
-  // cycle start when a hop exhausts its retries.
-  std::vector<NodeId> path = tree_.AncestorsOf(target);
-  path.push_back(target);
-
+  // cycle start when a hop exhausts its retries. Every backoff and the scan
+  // below resume after out.last_slot: the fault process requires per-channel
+  // observations to move forward in time, and failed retries push the last
+  // observed slot past `p` (the slot after the last *successful* read).
+  const std::vector<NodeId>& path = paths_[static_cast<size_t>(target)];
+  BCAST_DCHECK(!path.empty()) << "query target must be a data node";
   int64_t finish = -1;
   int restarts = 0;
   size_t hop = 0;
-  // Last slot the medium was observed at during the descent. Failed retries
-  // push it past `p` (the slot after the last *successful* read), and the
-  // fault process requires per-channel observations to move forward in time,
-  // so every later phase must resume at or after this slot.
-  int64_t last_abs = p - 1;
   bool walking = probe_ok;
   while (walking && finish < 0) {
     NodeId node = path[hop];
@@ -177,7 +189,7 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
     while (true) {
       int64_t abs = 0;
       Occurrence occ = NextOccurrence(node, t, &abs);
-      last_abs = abs;
+      out.last_slot = abs;
       ++out.tuning;
       if (occ.channel != last_channel) {
         ++out.switches;
@@ -208,7 +220,7 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
       // restart the descent from the root.
       ++restarts;
       ++report->cycle_restarts;
-      p = NextCycleStart(last_abs + 1);
+      p = NextCycleStart(out.last_slot + 1);
       hop = 0;
       continue;
     }
@@ -220,7 +232,7 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
   int64_t scan_start = -1;
   if (finish < 0) {
     ++report->sequential_scans;
-    scan_start = NextCycleStart(std::max(p, last_abs + 1));
+    scan_start = NextCycleStart(out.last_slot + 1);
     for (int pass = 0; pass < recovery.max_scan_passes && finish < 0; ++pass) {
       for (int c = 0; c < num_channels_ && finish < 0; ++c) {
         if (c != last_channel) {
@@ -233,6 +245,7 @@ ClientSimulator::QueryOutcome ClientSimulator::AccessOnce(
         for (int s = 0; s < cycle_length_; ++s) {
           const int64_t abs = block + s;
           ++out.tuning;
+          out.last_slot = abs;
           BucketOutcome got =
               medium ? medium->Observe(c, abs) : BucketOutcome::kOk;
           if (got != BucketOutcome::kOk) {
@@ -287,8 +300,8 @@ SimReport ClientSimulator::Run(Rng* rng, const SimOptions& options) const {
     // Each query is an independent client under an independent realization
     // of the medium (the Gilbert–Elliott chains start from stationarity).
     FaultProcess medium(options.faults, &fault_rng);
-    QueryOutcome out = AccessOnce(target, arrival, faulty ? &medium : nullptr,
-                                  options.recovery, &report);
+    ClientOutcome out = AccessOnce(target, arrival, faulty ? &medium : nullptr,
+                                   options.recovery, &report);
     if (!out.success) continue;
     ++report.num_succeeded;
     probe_sum += out.probe_wait;

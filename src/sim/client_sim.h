@@ -9,6 +9,10 @@
 // materialization agree: the empirical mean data wait converges to formula
 // (1), and the empirical tuning time to the weighted path length.
 //
+// AccessOnce is the repo's only implementation of that protocol: Run() loops
+// it over sampled queries, and the population simulator (popsim/popsim.h)
+// drives it once per client of a whole fleet.
+//
 // The medium may be faulty (SimOptions::faults): buckets are lost or
 // detectably corrupted per a FaultModel, and the client degrades gracefully
 // instead of silently failing:
@@ -103,6 +107,19 @@ struct SimReport {
   uint64_t rng_fault_draws = 0;
 };
 
+/// One client's terminal outcome. Waits are in buckets (slot times);
+/// probe_wait/data_wait are meaningful only when success is true.
+struct ClientOutcome {
+  bool success = false;
+  double probe_wait = 0.0;
+  double data_wait = 0.0;
+  uint32_t tuning = 0;
+  uint32_t switches = 0;
+  /// Last absolute slot the client listened to (probe, pointer read or scan
+  /// bucket). A successful access finishes at last_slot + 1.
+  int64_t last_slot = 0;
+};
+
 /// Simulates clients against one broadcast program — either a plain
 /// (tree, schedule) cycle or a replicated program whose index replicas the
 /// recovery protocol exploits.
@@ -121,6 +138,18 @@ class ClientSimulator {
   /// Runs `options.num_queries` independent client accesses.
   SimReport Run(Rng* rng, const SimOptions& options) const;
 
+  /// Replays one client's access to data node `target`, posed at absolute
+  /// slot time `arrival`. `medium` is null on a lossless run (no fault
+  /// draws). Fault/recovery counters accumulate into `report`; nothing else
+  /// of it is touched.
+  ClientOutcome AccessOnce(NodeId target, double arrival, FaultProcess* medium,
+                           const RecoveryOptions& recovery,
+                           SimReport* report) const;
+
+  const IndexTree& tree() const { return tree_; }
+  int num_channels() const { return num_channels_; }
+  int64_t cycle_length() const { return cycle_length_; }
+
  private:
   /// One broadcast occurrence of a node within the cycle.
   struct Occurrence {
@@ -128,22 +157,10 @@ class ClientSimulator {
     int channel = -1;
   };
 
-  /// Outcome of one simulated access.
-  struct QueryOutcome {
-    bool success = false;
-    double probe_wait = 0.0;
-    double data_wait = 0.0;
-    int tuning = 0;
-    int switches = 0;
-  };
-
   ClientSimulator(const IndexTree& tree, bool replicated);
 
-  /// Replays one access. `medium` is null on a lossless run (no fault
-  /// draws). Fault/recovery counters accumulate into `report`.
-  QueryOutcome AccessOnce(NodeId target, double arrival, FaultProcess* medium,
-                          const RecoveryOptions& recovery,
-                          SimReport* report) const;
+  /// Precomputes the root->target pointer path of every data node.
+  void BuildPaths();
 
   /// Earliest occurrence of `node` whose slot start is >= `time` under the
   /// circular broadcast (absolute slot, channel).
@@ -162,6 +179,9 @@ class ClientSimulator {
   /// grid_[channel][slot]: the on-air bucket, for the sequential-scan
   /// fallback (kInvalidNode for empty buckets).
   std::vector<std::vector<NodeId>> grid_;
+  /// paths_[node]: root -> ... -> node, for every data node (empty for
+  /// index nodes, which are never query targets).
+  std::vector<std::vector<NodeId>> paths_;
 };
 
 }  // namespace bcast

@@ -5,12 +5,12 @@
 // that client's own Rng — derived as Substream(RngStream::kClient, client_id)
 // of the run seed — so a population is reproducible client-by-client no
 // matter how the fleet is sharded across threads. The draw order per client
-// is part of the differential contract with sim/client_sim.h: the query
-// target first (one engine draw), then the arrival time (one draw), then any
-// population-model extras. With the default spec (tree-weight interests,
-// one-cycle arrival horizon, no dozing) the per-client prefix is exactly what
-// ClientSimulator::Run consumes for a single query, which is what makes the
-// two simulators differentially testable.
+// is part of the contract with sim/client_sim.h: the query target first (one
+// engine draw), then the arrival time (one draw), then any population-model
+// extras. With the default spec (tree-weight interests, one-cycle arrival
+// horizon, no dozing) the per-client prefix is exactly what
+// ClientSimulator::Run consumes for a single query, which is what lets the
+// popsim tests hold each fleet client to a one-query ClientSimulator::Run.
 //
 // Knobs beyond the paper's uniform-arrival model:
 //   * interest mix — targets drawn by tree weight (the paper's workload), by

@@ -1,15 +1,18 @@
-// Population-simulator tests. The load-bearing ones are differential: the
-// batched slot-major engine must reproduce, client for client and bit for
-// bit, what a loop over the reference ClientSimulator produces when each
-// client's Rng is derived the same way (the keyed kClient substream of the
-// run seed) — on lossless and faulty media, plain and replicated programs.
-// The second pillar is scheduling invariance: thread and shard counts must
-// never change the report, only the wall clock.
+// Population-simulator tests. The fleet driver runs every client through
+// ClientSimulator::AccessOnce, so the differential tests check what is
+// popsim's own: each client's streams are derived exactly as a
+// ClientSimulator::Run query under the keyed kClient substream of the run
+// seed would derive them, and the per-client recovery counters and draw
+// counts fold into the report — on lossless and faulty media, plain and
+// replicated programs. Golden values pin the reports of those same
+// configurations, and scheduling invariance holds thread and shard counts
+// to changing only the wall clock.
 
 #include "popsim/popsim.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -153,6 +156,21 @@ TEST(PopSimDifferentialTest, BernoulliFaultsMatchClientSimulatorLoop) {
   EXPECT_GT(report->retries, 0u);
   EXPECT_GT(report->sequential_scans, 0u);
   EXPECT_LT(report->num_succeeded, report->num_clients);
+
+  // Recovery budgets past 255 are counted in full, never narrowed.
+  options.recovery.max_retries_per_hop = 0;
+  options.recovery.max_cycle_restarts = 256;
+  ExpectMatchesClientSimulatorLoop(*popsim, *reference, options);
+
+  // A dead second channel: a hop aired there burns all 300 retries before
+  // the client falls back to the scan.
+  auto dead = FaultModel::Create({ChannelLossSpec{}, BernoulliSpec(1.0)});
+  ASSERT_TRUE(dead.ok());
+  options.faults = *dead;
+  options.population.num_clients = 20;
+  options.recovery.max_retries_per_hop = 300;
+  options.recovery.max_cycle_restarts = 0;
+  ExpectMatchesClientSimulatorLoop(*popsim, *reference, options);
 }
 
 TEST(PopSimDifferentialTest, GilbertElliottFaultsMatchClientSimulatorLoop) {
@@ -163,9 +181,8 @@ TEST(PopSimDifferentialTest, GilbertElliottFaultsMatchClientSimulatorLoop) {
   ASSERT_TRUE(popsim.ok());
   ASSERT_TRUE(reference.ok());
 
-  // Bursty medium: the per-slot chain advance makes the replayed fault
-  // streams draw far past ReplayRng's cache block, so this also covers the
-  // engine-reconstruction path.
+  // Bursty medium: the per-slot chain advance draws many fault values per
+  // client, across channels whose chains are realized lazily.
   PopSimOptions options;
   options.population.num_clients = 500;
   options.seed = 0xbadcab1e;
@@ -356,6 +373,145 @@ TEST(PopSimTest, InvalidOptionsAreRejected) {
   options = PopSimOptions();
   options.population.doze_fraction = 0.5;  // needs max_doze_cycles >= 1
   EXPECT_FALSE(popsim->Run(options).ok());
+}
+
+// Pinned reports of the configurations the differential tests run (plus the
+// all-knobs population of the invariance test). The digest covers every
+// per-client outcome; the other fields pin the slot span, the draw counts
+// and the recovery tallies, so a change to the access protocol, the stream
+// derivation or the counter folding moves at least one of them.
+struct PopGolden {
+  const char* name;
+  uint64_t digest;
+  uint64_t slots_processed;
+  int64_t last_slot;
+  uint64_t rng_query_draws;
+  uint64_t rng_fault_draws;
+  uint64_t retries;
+  uint64_t cycle_restarts;
+};
+
+void ExpectGolden(const PopulationSimulator& popsim,
+                  const PopSimOptions& options, const PopGolden& golden) {
+  SCOPED_TRACE(golden.name);
+  auto report = popsim.Run(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->digest, golden.digest);
+  EXPECT_EQ(report->slots_processed, golden.slots_processed);
+  EXPECT_EQ(report->last_slot, golden.last_slot);
+  EXPECT_EQ(report->rng_query_draws, golden.rng_query_draws);
+  EXPECT_EQ(report->rng_fault_draws, golden.rng_fault_draws);
+  EXPECT_EQ(report->retries, golden.retries);
+  EXPECT_EQ(report->cycle_restarts, golden.cycle_restarts);
+}
+
+TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
+  IndexTree tree = MakePaperExampleTree();
+  BroadcastPlan plan2 = MustPlan(tree, 2);
+  BroadcastPlan plan3 = MustPlan(tree, 3);
+  BroadcastPlan replicated = MustPlan(tree, 2, /*root_copies=*/2);
+  ASSERT_TRUE(replicated.replicated.has_value());
+  auto popsim2 = PopulationSimulator::Create(tree, plan2.schedule);
+  auto popsim3 = PopulationSimulator::Create(tree, plan3.schedule);
+  auto popsim_rep = PopulationSimulator::Create(tree, *replicated.replicated);
+  ASSERT_TRUE(popsim2.ok());
+  ASSERT_TRUE(popsim3.ok());
+  ASSERT_TRUE(popsim_rep.ok());
+
+  PopSimOptions options;
+  options.population.num_clients = 1000;
+  options.seed = 0x9d5ab1;
+  ExpectGolden(*popsim2, options,
+               {"lossless", 0x877daef6839bade3ull, 10, 10, 2000, 0, 0, 0});
+
+  options = PopSimOptions();
+  options.population.num_clients = 1000;
+  options.seed = 77;
+  options.faults = MustUniform(2, BernoulliSpec(0.35, /*corrupt=*/0.4));
+  ExpectGolden(*popsim2, options,
+               {"bernoulli", 0x9b37023a1c910736ull, 84, 84, 2000, 9093, 2311,
+                53});
+  options.recovery.max_retries_per_hop = 1;
+  options.recovery.max_cycle_restarts = 0;
+  options.recovery.max_scan_passes = 1;
+  ExpectGolden(*popsim2, options,
+               {"bernoulli_tight", 0x2f123a8723c222abull, 40, 40, 2000, 10971,
+                1564, 0});
+
+  options = PopSimOptions();
+  options.population.num_clients = 500;
+  options.seed = 0xbadcab1e;
+  options.faults = MustUniform(3, BurstSpec());
+  ExpectGolden(*popsim3, options,
+               {"gilbert_elliott", 0xdbfa06767a69496cull, 53, 53, 1000, 9394,
+                674, 5});
+
+  options = PopSimOptions();
+  options.population.num_clients = 800;
+  options.seed = 4242;
+  ExpectGolden(*popsim_rep, options,
+               {"replicated", 0xddce171c64927ab4ull, 12, 12, 1600, 0, 0, 0});
+  options.faults = MustUniform(2, BernoulliSpec(0.3, 0.5));
+  ExpectGolden(*popsim_rep, options,
+               {"replicated_bernoulli", 0x32c2a8d4efad8a01ull, 90, 90, 1600,
+                6535, 1500, 24});
+
+  options = PopSimOptions();
+  options.population.num_clients = 20'000;
+  options.population.interest = PopulationSpec::Interest::kZipf;
+  options.population.zipf_theta = 1.2;
+  options.population.arrival_horizon_cycles = 3;
+  options.population.doze_fraction = 0.2;
+  options.population.max_doze_cycles = 4;
+  options.population.degraded_fraction = 0.1;
+  options.seed = 0x5eed;
+  options.faults = MustUniform(2, BernoulliSpec(0.05, 0.3));
+  options.degraded_faults = MustUniform(2, BurstSpec());
+  ExpectGolden(*popsim2, options,
+               {"degraded_doze", 0x1291867b19d4c2f6ull, 313, 80, 44015,
+                122402, 6890, 28});
+}
+
+uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A pinned SimReport: a faulty ClientSimulator::Run over a replicated
+// program, with a ladder tight enough that every rung and some terminal
+// failures occur. Doubles are compared by bit pattern.
+TEST(PopSimGoldenTest, ClientSimulatorReportMatchesPinnedValues) {
+  IndexTree tree = MakePaperExampleTree();
+  BroadcastPlan plan = MustPlan(tree, 2, /*root_copies=*/2);
+  ASSERT_TRUE(plan.replicated.has_value());
+  auto sim = ClientSimulator::Create(tree, *plan.replicated);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+
+  SimOptions options;
+  options.num_queries = 3000;
+  options.faults = MustUniform(2, BurstSpec());
+  options.recovery.max_retries_per_hop = 1;
+  options.recovery.max_cycle_restarts = 1;
+  options.recovery.max_scan_passes = 1;
+  Rng rng(0x601d);
+  SimReport r = sim->Run(&rng, options);
+
+  EXPECT_EQ(r.num_queries, 3000u);
+  EXPECT_EQ(r.num_succeeded, 2962u);
+  EXPECT_EQ(r.buckets_lost, 3945u);
+  EXPECT_EQ(r.buckets_corrupted, 1270u);
+  EXPECT_EQ(r.retries, 4162u);
+  EXPECT_EQ(r.cycle_restarts, 556u);
+  EXPECT_EQ(r.sequential_scans, 148u);
+  EXPECT_EQ(r.rng_query_draws, 6000u);
+  EXPECT_EQ(r.rng_fault_draws, 72297u);
+  EXPECT_EQ(BitsOf(r.mean_probe_wait), 0x401075851881382dull);
+  EXPECT_EQ(BitsOf(r.mean_data_wait), 0x402298494a804260ull);
+  EXPECT_EQ(BitsOf(r.mean_access_time), 0x402ad30bd6c0de77ull);
+  EXPECT_EQ(BitsOf(r.mean_tuning_time), 0x4019002c404d7088ull);
+  EXPECT_EQ(BitsOf(r.mean_switches), 0x3ff40bc11491e3ffull);
+  EXPECT_EQ(BitsOf(r.listen_fraction), 0x3fddd30bda652948ull);
+  EXPECT_EQ(BitsOf(r.success_rate), 0x3fef983c131d5acbull);
+  EXPECT_EQ(BitsOf(r.p50_access_time), 0x40271b0dcaeba136ull);
+  EXPECT_EQ(BitsOf(r.p95_access_time), 0x403c344301ec5176ull);
+  EXPECT_EQ(BitsOf(r.p99_access_time), 0x4042cfee68634cb2ull);
 }
 
 }  // namespace

@@ -18,12 +18,14 @@ into structured, per-line static rules over ``src/``:
   rng-substreams   Every ``Rng`` constructed in src/ must be forked with
                    ``Substream(RngStream::k...)`` so logically independent
                    random processes never perturb each other. src/popsim/
-                   additionally requires client-id-keyed derivation: an
-                   unkeyed ``Substream``/``SubstreamSeed`` on a non-client
+                   additionally requires client-id-keyed derivation: its
+                   shard tasks run each client from that client's own
+                   keyed stream, and an unkeyed
+                   ``Substream``/``SubstreamSeed`` on a non-client
                    generator, or a shared-stream draw inside a
-                   ``// bcast: hot`` per-slot loop, would make one client's
+                   ``// bcast: hot`` function, would make one client's
                    draws depend on its neighbors — exactly the coupling the
-                   engine's thread-invariance contract forbids.
+                   fleet's thread-invariance contract forbids.
   hot-path-alloc   Functions marked ``// bcast: hot`` must stay steady-state
                    allocation-free: no ``new``/``make_unique``/container
                    growth. Statically backs the counting-allocator proof of
