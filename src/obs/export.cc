@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -75,9 +76,20 @@ void JsonWriter::Double(double value) {
   BeforeValue();
   // Shortest representation that round-trips (same idiom as tree_io): 17
   // significant digits always round-trip, but most values need far fewer —
-  // "1.4", not "1.3999999999999999".
+  // "1.4", not "1.3999999999999999". std::to_chars yields the fewest
+  // significant digits any round-tripping decimal has; no "%.*g" below that
+  // precision can round-trip, so the search starts there and nearly always
+  // stops at once instead of trying every precision from 1.
   char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
+  const char* const shortest_end =
+      std::to_chars(buf, buf + sizeof(buf), value,
+                    std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != shortest_end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
+  }
+  for (; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
     if (std::strtod(buf, nullptr) == value) break;
   }

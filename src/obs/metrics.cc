@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <bit>
-
 #include "obs/clock.h"
 #include "util/check.h"
 
@@ -20,6 +18,22 @@ struct ShardCache {
 thread_local ShardCache tls_shard_cache;
 
 std::atomic<uint64_t> next_registry_uid{1};
+
+void LowerMin(std::atomic<uint64_t>& cell, uint64_t value) {
+  uint64_t observed = cell.load(std::memory_order_relaxed);
+  while (value < observed &&
+         !cell.compare_exchange_weak(observed, value,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+void RaiseMax(std::atomic<uint64_t>& cell, uint64_t value) {
+  uint64_t observed = cell.load(std::memory_order_relaxed);
+  while (value > observed &&
+         !cell.compare_exchange_weak(observed, value,
+                                     std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
@@ -90,21 +104,24 @@ Histogram Registry::GetHistogram(std::string_view name) {
 
 void Histogram::Record(uint64_t value) const {
   if (cells_ == nullptr) return;
-  const int bucket = value == 0 ? 0 : std::bit_width(value);
-  cells_->buckets[static_cast<size_t>(bucket)].fetch_add(
-      1, std::memory_order_relaxed);
+  cells_->buckets[static_cast<size_t>(HistogramBatch::BucketOf(value))]
+      .fetch_add(1, std::memory_order_relaxed);
   cells_->count.fetch_add(1, std::memory_order_relaxed);
   cells_->sum.fetch_add(value, std::memory_order_relaxed);
-  uint64_t observed = cells_->min.load(std::memory_order_relaxed);
-  while (value < observed &&
-         !cells_->min.compare_exchange_weak(observed, value,
-                                            std::memory_order_relaxed)) {
+  LowerMin(cells_->min, value);
+  RaiseMax(cells_->max, value);
+}
+
+void Histogram::Merge(const HistogramBatch& batch) const {
+  if (cells_ == nullptr || batch.count_ == 0) return;
+  for (size_t b = 0; b < batch.buckets_.size(); ++b) {
+    if (batch.buckets_[b] == 0) continue;
+    cells_->buckets[b].fetch_add(batch.buckets_[b], std::memory_order_relaxed);
   }
-  observed = cells_->max.load(std::memory_order_relaxed);
-  while (value > observed &&
-         !cells_->max.compare_exchange_weak(observed, value,
-                                            std::memory_order_relaxed)) {
-  }
+  cells_->count.fetch_add(batch.count_, std::memory_order_relaxed);
+  cells_->sum.fetch_add(batch.sum_, std::memory_order_relaxed);
+  LowerMin(cells_->min, batch.min_);
+  RaiseMax(cells_->max, batch.max_);
 }
 
 void Registry::SetMeta(std::string_view key, std::string_view value) {

@@ -26,6 +26,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -90,6 +91,35 @@ class Gauge {
   std::atomic<int64_t>* cell_ = nullptr;
 };
 
+/// Values counted locally by one thread for a later Histogram::Merge: the
+/// same log2 buckets and count/sum/min/max as the shared cells, in plain
+/// integers. A loop that records many values fills a batch and merges it
+/// once, paying one atomic add per non-empty bucket instead of three atomic
+/// read-modify-writes and two CAS loops per value.
+class HistogramBatch {
+ public:
+  void Record(uint64_t value) {
+    ++buckets_[static_cast<size_t>(BucketOf(value))];
+    ++count_;
+    sum_ += value;
+    if (value < min_) min_ = value;
+    if (value > max_) max_ = value;
+  }
+
+  /// Log2 bucket of `value`: 0 for 0, bit_width(value) otherwise.
+  static int BucketOf(uint64_t value) {
+    return value == 0 ? 0 : std::bit_width(value);
+  }
+
+ private:
+  friend class Histogram;
+  std::array<uint64_t, internal::HistogramCells::kNumBuckets> buckets_{};
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
+  uint64_t min_ = ~uint64_t{0};
+  uint64_t max_ = 0;
+};
+
 /// Fixed-bucket (log2) histogram handle. Record() is wait-free apart from
 /// the min/max CAS loops; quantiles are estimated from the buckets at
 /// snapshot time (constant memory regardless of how many values stream in).
@@ -97,6 +127,9 @@ class Histogram {
  public:
   Histogram() = default;
   void Record(uint64_t value) const;
+  /// Adds every value recorded in `batch`. The cells end up exactly as if
+  /// each value had gone through Record().
+  void Merge(const HistogramBatch& batch) const;
   explicit operator bool() const { return cells_ != nullptr; }
 
  private:

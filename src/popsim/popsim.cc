@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/stream.h"
 
@@ -25,14 +26,21 @@ uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
 
 }  // namespace
 
-// What a shard accumulates privately and the aggregation pass sums in shard
-// order — all integer tallies, so the totals cannot depend on how shards
-// interleave across threads. `sim` receives AccessOnce's fault/recovery
-// counters and the shard's draw counts; its other fields stay unused.
+// What a shard accumulates privately and the aggregation pass reads in shard
+// order — integer tallies, plus sums over the shard's own clients in id
+// order, so nothing can depend on how shards interleave across threads.
+// `sim` receives AccessOnce's fault/recovery counters and the shard's draw
+// counts; its other fields stay unused. The rest feeds the metrics registry
+// and the per-shard telemetry ticks.
 struct PopulationSimulator::ShardStats {
   SimReport sim;
   uint64_t slots_processed = 0;
   int64_t last_slot = 0;
+  uint64_t succeeded = 0;
+  double data_wait_sum = 0.0;
+  // Successful clients' data waits and tuning times, rounded to whole slots.
+  obs::HistogramBatch data_wait_slots;
+  obs::HistogramBatch tuning_slots;
 };
 
 Result<PopulationSimulator> PopulationSimulator::Create(
@@ -52,7 +60,8 @@ Result<PopulationSimulator> PopulationSimulator::Create(
 void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
                                    const PopSimOptions& options,
                                    const PopulationSampler& sampler,
-                                   const Rng& base, ClientOutcome* fleet,
+                                   const Rng& base, bool record_histograms,
+                                   ClientOutcome* fleet,
                                    ShardStats* stats) const {
   int64_t first_slot = std::numeric_limits<int64_t>::max();
   int64_t last_observed = std::numeric_limits<int64_t>::min();
@@ -75,6 +84,14 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
     } else {
       out = sim_.AccessOnce(draw.target, draw.arrival, nullptr,
                             options.recovery, &stats->sim);
+    }
+    if (out.success) {
+      ++stats->succeeded;
+      stats->data_wait_sum += out.data_wait;
+      if (record_histograms) {
+        stats->data_wait_slots.Record(static_cast<uint64_t>(out.data_wait));
+        stats->tuning_slots.Record(out.tuning);
+      }
     }
     first_slot = std::min(first_slot, static_cast<int64_t>(draw.arrival));
     last_observed = std::max(last_observed, out.last_slot);
@@ -117,6 +134,11 @@ Result<PopReport> PopulationSimulator::Run(
 
   std::vector<ClientOutcome> fleet(n);
   std::vector<ShardStats> stats(shards);
+  // Null handles without a registry; the shards then record nothing.
+  const obs::Histogram data_wait_hist =
+      obs::GetHistogram("popsim.data_wait_slots");
+  const obs::Histogram tuning_hist = obs::GetHistogram("popsim.tuning_slots");
+  const bool record_histograms = static_cast<bool>(data_wait_hist);
   // Root of the whole run's substream tree: every client forks off it via
   // Substream(RngStream::kClient, id).
   // bcast-lint: allow(rng-substreams)
@@ -137,7 +159,8 @@ Result<PopReport> PopulationSimulator::Run(
   if (threads <= 1 || shards == 1) {
     for (uint64_t s = 0; s < shards; ++s) {
       auto [begin, end] = shard_range(s);
-      RunShard(begin, end, options, *sampler, base, fleet.data(), &stats[s]);
+      RunShard(begin, end, options, *sampler, base, record_histograms,
+               fleet.data(), &stats[s]);
     }
   } else {
     ThreadPool pool(threads);
@@ -145,7 +168,8 @@ Result<PopReport> PopulationSimulator::Run(
     for (uint64_t s = 0; s < shards; ++s) {
       group.Run([&, s] {
         auto [begin, end] = shard_range(s);
-        RunShard(begin, end, options, *sampler, base, fleet.data(), &stats[s]);
+        RunShard(begin, end, options, *sampler, base, record_histograms,
+                 fleet.data(), &stats[s]);
       });
     }
     BCAST_RETURN_IF_ERROR(group.Wait());
@@ -173,6 +197,9 @@ Result<PopReport> PopulationSimulator::Run(
 
   double probe_sum = 0.0, data_sum = 0.0, tuning_sum = 0.0, switch_sum = 0.0;
   std::vector<double> access_times, data_waits, tunings;
+  access_times.reserve(n);
+  data_waits.reserve(n);
+  tunings.reserve(n);
   uint64_t digest = 0x506f70536972ull;  // "PopSim" tag seeds the chain
   for (const ClientOutcome& c : fleet) {
     digest = MixSeed(digest ^ (c.success ? 1 : 0));
@@ -207,25 +234,33 @@ Result<PopReport> PopulationSimulator::Run(
             ? report.mean_tuning_time / report.mean_access_time
             : 0.0;
 
-    auto nearest_rank = [](std::vector<double>& values, double quantile) {
-      size_t rank = static_cast<size_t>(
-          std::ceil(quantile * static_cast<double>(values.size())));
-      if (rank > 0) --rank;
-      if (rank >= values.size()) rank = values.size() - 1;
-      return values[rank];
+    // Nearest-rank p50/p95/p99 by selection rather than a full sort. Each
+    // nth_element leaves every larger rank in the tail past its pivot, so
+    // the next rank is selected within that tail alone.
+    auto percentiles = [](std::vector<double>& values, double* p50,
+                          double* p95, double* p99) {
+      const std::pair<double, double*> ranks[] = {
+          {0.50, p50}, {0.95, p95}, {0.99, p99}};
+      size_t from = 0;
+      for (auto [quantile, out] : ranks) {
+        size_t rank = static_cast<size_t>(
+            std::ceil(quantile * static_cast<double>(values.size())));
+        if (rank > 0) --rank;
+        if (rank >= values.size()) rank = values.size() - 1;
+        if (rank >= from) {
+          std::nth_element(values.begin() + from, values.begin() + rank,
+                           values.end());
+          from = rank + 1;
+        }
+        *out = values[rank];
+      }
     };
-    std::sort(access_times.begin(), access_times.end());
-    std::sort(data_waits.begin(), data_waits.end());
-    std::sort(tunings.begin(), tunings.end());
-    report.p50_access_time = nearest_rank(access_times, 0.50);
-    report.p95_access_time = nearest_rank(access_times, 0.95);
-    report.p99_access_time = nearest_rank(access_times, 0.99);
-    report.p50_data_wait = nearest_rank(data_waits, 0.50);
-    report.p95_data_wait = nearest_rank(data_waits, 0.95);
-    report.p99_data_wait = nearest_rank(data_waits, 0.99);
-    report.p50_tuning_time = nearest_rank(tunings, 0.50);
-    report.p95_tuning_time = nearest_rank(tunings, 0.95);
-    report.p99_tuning_time = nearest_rank(tunings, 0.99);
+    percentiles(access_times, &report.p50_access_time,
+                &report.p95_access_time, &report.p99_access_time);
+    percentiles(data_waits, &report.p50_data_wait, &report.p95_data_wait,
+                &report.p99_data_wait);
+    percentiles(tunings, &report.p50_tuning_time, &report.p95_tuning_time,
+                &report.p99_tuning_time);
   }
 
   if (obs::MetricsEnabled()) {
@@ -243,60 +278,44 @@ Result<PopReport> PopulationSimulator::Run(
 
   // Per-client wait/tuning distributions (successful clients, rounded to
   // whole slots) — the population-scale histograms behind the p50/p95/p99
-  // columns of `bcastctl popsim`. With telemetry on, the same pass runs
-  // shard by shard instead of in one sweep: shards are contiguous ascending
-  // id ranges, so the recording order — and with it the final metrics
-  // snapshot — is identical, while each shard's telemetry tick now brackets
+  // columns of `bcastctl popsim`. Each shard counted its own clients into
+  // local batches; they merge here in shard order. With telemetry on, each
+  // shard's merge is followed by that shard's tick, so the tick brackets
   // exactly that shard's recordings and its windowed histogram quantiles
   // (popsim.data_wait_slots.p50/...) cover exactly that shard's clients.
-  if (options.telemetry != nullptr) {
-    // Per-shard-merge telemetry: one tick per shard, in shard-id order, on
-    // this (single) aggregation thread — the workers have already joined, so
-    // emission can never race a shard and never perturbs a per-client
-    // outcome. Ticks are keyed by the shard ordinal, never wall clock, and
-    // every value is recomputed from the id-ordered fleet outcomes, so the
-    // stream itself is byte-identical across thread counts too.
+  //
+  // Per-shard-merge telemetry: one tick per shard, in shard-id order, on
+  // this (single) aggregation thread — the workers have already joined, so
+  // emission can never race a shard and never perturbs a per-client
+  // outcome. Ticks are keyed by the shard ordinal, never wall clock, and
+  // every value comes from the shard's own id-ordered tallies, so the
+  // stream itself is byte-identical across thread counts too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t s = 0; s < shards; ++s) {
+    const ShardStats& shard = stats[s];
+    data_wait_hist.Merge(shard.data_wait_slots);
+    tuning_hist.Merge(shard.tuning_slots);
+    if (options.telemetry == nullptr) continue;
     obs::TelemetryPipeline& telemetry = *options.telemetry;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    obs::Histogram data_wait_hist = obs::GetHistogram("popsim.data_wait_slots");
-    obs::Histogram tuning_hist = obs::GetHistogram("popsim.tuning_slots");
-    for (uint64_t s = 0; s < shards; ++s) {
-      auto [begin, end] = shard_range(s);
-      uint64_t succeeded = 0;
-      double shard_data_sum = 0.0;
-      for (uint64_t i = begin; i < end; ++i) {
-        if (!fleet[i].success) continue;
-        ++succeeded;
-        shard_data_sum += fleet[i].data_wait;
-        data_wait_hist.Record(static_cast<uint64_t>(fleet[i].data_wait));
-        tuning_hist.Record(fleet[i].tuning);
-      }
-      const uint64_t clients = end - begin;
-      telemetry.Observe("popsim.shard.clients", static_cast<double>(clients));
-      telemetry.Observe("popsim.shard.success_rate",
-                        clients > 0 ? static_cast<double>(succeeded) /
-                                          static_cast<double>(clients)
-                                    : nan);
-      telemetry.Observe(
-          "popsim.shard.mean_data_wait",
-          succeeded > 0 ? shard_data_sum / static_cast<double>(succeeded)
-                        : nan);
-      telemetry.Observe("popsim.shard.retries",
-                        static_cast<double>(stats[s].sim.retries));
-      telemetry.Observe("popsim.shard.slots_processed",
-                        static_cast<double>(stats[s].slots_processed));
-      telemetry.Observe("popsim.shard.rng_fault_draws",
-                        static_cast<double>(stats[s].sim.rng_fault_draws));
-      telemetry.Tick(s);
-    }
-  } else if (obs::MetricsEnabled()) {
-    obs::Histogram data_wait_hist = obs::GetHistogram("popsim.data_wait_slots");
-    obs::Histogram tuning_hist = obs::GetHistogram("popsim.tuning_slots");
-    for (const ClientOutcome& c : fleet) {
-      if (!c.success) continue;
-      data_wait_hist.Record(static_cast<uint64_t>(c.data_wait));
-      tuning_hist.Record(c.tuning);
-    }
+    auto [begin, end] = shard_range(s);
+    const uint64_t clients = end - begin;
+    telemetry.Observe("popsim.shard.clients", static_cast<double>(clients));
+    telemetry.Observe("popsim.shard.success_rate",
+                      clients > 0 ? static_cast<double>(shard.succeeded) /
+                                        static_cast<double>(clients)
+                                  : nan);
+    telemetry.Observe("popsim.shard.mean_data_wait",
+                      shard.succeeded > 0
+                          ? shard.data_wait_sum /
+                                static_cast<double>(shard.succeeded)
+                          : nan);
+    telemetry.Observe("popsim.shard.retries",
+                      static_cast<double>(shard.sim.retries));
+    telemetry.Observe("popsim.shard.slots_processed",
+                      static_cast<double>(shard.slots_processed));
+    telemetry.Observe("popsim.shard.rng_fault_draws",
+                      static_cast<double>(shard.sim.rng_fault_draws));
+    telemetry.Tick(s);
   }
   if (per_client != nullptr) *per_client = std::move(fleet);
   telemetry_guard.set_outcome("ok");

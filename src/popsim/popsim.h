@@ -149,10 +149,13 @@ class PopulationSimulator {
   explicit PopulationSimulator(ClientSimulator sim) : sim_(std::move(sim)) {}
 
   // Runs clients [begin, end) to completion in id order: keyed stream,
-  // workload draw, then one AccessOnce per client.
+  // workload draw, then one AccessOnce per client. With
+  // `record_histograms`, also counts the successful clients' data waits and
+  // tuning times into the shard's histogram batches.
   void RunShard(uint64_t begin, uint64_t end, const PopSimOptions& options,
                 const PopulationSampler& sampler, const Rng& base,
-                ClientOutcome* fleet, ShardStats* stats) const;
+                bool record_histograms, ClientOutcome* fleet,
+                ShardStats* stats) const;
 
   ClientSimulator sim_;
 };

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -11,6 +12,35 @@ uint64_t MixSeed(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
+}
+
+Rng::Rng(const Rng& other)
+    : seed_(other.seed_),
+      draws_(other.draws_),
+      seeded_(other.seeded_),
+      pos_(other.pos_),
+      has_spare_normal_(other.has_spare_normal_),
+      spare_normal_(other.spare_normal_) {
+  std::copy_n(other.state_, seeded_, state_);
+}
+
+Rng& Rng::operator=(const Rng& other) {
+  if (this == &other) return *this;
+  seed_ = other.seed_;
+  draws_ = other.draws_;
+  seeded_ = other.seeded_;
+  pos_ = other.pos_;
+  has_spare_normal_ = other.has_spare_normal_;
+  spare_normal_ = other.spare_normal_;
+  std::copy_n(other.state_, seeded_, state_);
+  return *this;
+}
+
+void Rng::SeedThrough(size_t last) {
+  for (; seeded_ <= last; ++seeded_) {
+    const uint64_t prev = state_[seeded_ - 1];
+    state_[seeded_] = 6364136223846793005ull * (prev ^ (prev >> 62)) + seeded_;
+  }
 }
 
 Rng Rng::Substream(RngStream stream) const {

@@ -1,16 +1,26 @@
 // Deterministic pseudo-random number generation for workloads, simulators and
-// property tests. A thin wrapper over std::mt19937_64 with the distribution
-// helpers this library actually needs, so call sites never instantiate
-// std::*_distribution directly (their outputs are not portable across
-// standard-library implementations for some distributions; we implement the
-// ones we need on top of the raw engine to keep experiment outputs
-// reproducible across toolchains).
+// property tests. Rng is an MT19937-64 engine — output for output the same
+// sequence as std::mt19937_64, which the standard fixes exactly — plus the
+// distribution helpers this library actually needs, so call sites never
+// instantiate std::*_distribution directly (their outputs are not portable
+// across standard-library implementations for some distributions; we
+// implement the ones we need on top of the raw engine to keep experiment
+// outputs reproducible across toolchains).
+//
+// The engine is hand-written so that it seeds on demand. The population
+// simulator builds one or two generators per client and draws only a few
+// values from each; std::mt19937_64 would compute all 312 state words and
+// twist them before the first output. Here the constructor stores only the
+// seed, and each draw extends the seeding recurrence just as far as its
+// twist reads (157 words for the first output, one more for each of the
+// next 155) and twists its own state word in place.
 
 #ifndef BCAST_UTIL_RNG_H_
 #define BCAST_UTIL_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <utility>
 #include <vector>
 
 namespace bcast {
@@ -29,21 +39,44 @@ enum class RngStream : uint64_t {
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix. This is the single
 /// derivation primitive behind every substream seed (named and keyed), so
-/// code that must reproduce a substream without holding an engine — e.g. the
-/// population simulator replaying a client's fault stream from (seed, draw
-/// count) — computes exactly what Rng::Substream would construct from.
+/// code that records or re-derives a substream without holding an engine
+/// computes exactly what Rng::Substream would construct from.
 uint64_t MixSeed(uint64_t x);
 
 /// Seedable PRNG with portable distribution helpers.
 class Rng {
  public:
-  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull)
-      : seed_(seed), engine_(seed) {}
+  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull) : seed_(seed) {
+    state_[0] = seed;
+  }
 
-  /// Raw 64 uniform bits.
+  /// A copy carries only the state words already computed; it seeds the
+  /// rest on demand exactly as the original would.
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+
+  /// Raw 64 uniform bits: the next std::mt19937_64 output for seed().
   uint64_t NextU64() {
     ++draws_;
-    return engine_();
+    if (pos_ == kStateWords) pos_ = 0;
+    const size_t i = pos_++;
+    // Only the first half of the first block (i < kShift) can read initial
+    // words not yet seeded: its twist of word i reads i + 1 and i + kShift.
+    if (seeded_ < kStateWords) SeedThrough(i + kShift);
+    // The block twist, one word at a time and in the same order as
+    // std::mt19937_64's: words after i still hold the previous block, words
+    // before i already hold this one.
+    const uint64_t y = (state_[i] & kUpperMask) |
+                       (state_[i + 1 == kStateWords ? 0 : i + 1] & kLowerMask);
+    const size_t j = i + kShift;
+    uint64_t z = state_[j < kStateWords ? j : j - kStateWords] ^ (y >> 1) ^
+                 ((y & 1) != 0 ? kMatrixA : 0);
+    state_[i] = z;
+    // Tempering.
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
   }
 
   /// Engine invocations so far (every distribution helper bottoms out in
@@ -68,8 +101,7 @@ class Rng {
   Rng Substream(RngStream stream, uint64_t key) const;
 
   /// The seed Substream(stream) would construct its engine from. Lets a
-  /// caller record or re-derive a substream without paying for an engine
-  /// initialization.
+  /// caller record or re-derive a substream without constructing it.
   uint64_t SubstreamSeed(RngStream stream) const;
 
   /// The seed of the keyed substream Substream(stream, key).
@@ -105,12 +137,28 @@ class Rng {
   }
 
  private:
+  // MT19937-64 parameters (word count, shift, twist matrix, masks).
+  static constexpr size_t kStateWords = 312;
+  static constexpr size_t kShift = 156;
+  static constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
+  static constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+  static constexpr uint64_t kLowerMask = ~kUpperMask;
+
+  // Extends the seeding recurrence so that initial words [0, last] exist.
+  void SeedThrough(size_t last);
+
   uint64_t seed_;
-  std::mt19937_64 engine_;
   uint64_t draws_ = 0;
+  // Words [0, seeded_) of state_ are computed; the rest are never read
+  // before SeedThrough writes them. state_ is left uninitialized on purpose:
+  // writing its 2.5 KB per generator is the cost this engine avoids.
+  size_t seeded_ = 1;
+  // Index of the next word to twist and output; kStateWords ends a block.
+  size_t pos_ = kStateWords;
   // Box–Muller produces values in pairs; cache the spare.
   bool has_spare_normal_ = false;
   double spare_normal_ = 0.0;
+  uint64_t state_[kStateWords];
 };
 
 }  // namespace bcast

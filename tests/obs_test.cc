@@ -9,10 +9,13 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/clock.h"
 #include "obs/export.h"
+#include "obs/stream.h"
+#include "util/rng.h"
 
 namespace bcast::obs {
 namespace {
@@ -122,6 +125,49 @@ TEST(ObsTest, HistogramBucketsAndQuantiles) {
   EXPECT_LE(h.Quantile(1.0), 1024.0);  // p100 within the top bucket's bound
 }
 
+// Values recorded one by one and the same values counted in batches and
+// merged once per tick leave identical snapshots and telemetry streams.
+TEST(ObsTest, HistogramMergeMatchesRecordingEachValue) {
+  Registry each_registry, batch_registry;
+  MemorySink each_sink, batch_sink;
+  TelemetryOptions options;
+  options.histograms = {"h"};
+  options.source = "test";
+  options.registry = &each_registry;
+  TelemetryPipeline each_pipeline(&each_sink, options);
+  options.registry = &batch_registry;
+  TelemetryPipeline batch_pipeline(&batch_sink, options);
+  Histogram each = each_registry.GetHistogram("h");
+  Histogram batched = batch_registry.GetHistogram("h");
+
+  Rng rng(11);
+  for (uint64_t tick = 0; tick < 6; ++tick) {
+    HistogramBatch batch;
+    // Tick 3 records nothing: merging an empty batch is a no-op.
+    const int values = tick == 3 ? 0 : 200 * static_cast<int>(tick + 1);
+    for (int i = 0; i < values; ++i) {
+      uint64_t value = rng.NextU64() >> rng.UniformInt(0, 63);
+      if (i == 0) value = 0;
+      if (i == 1) value = ~uint64_t{0};
+      each.Record(value);
+      batch.Record(value);
+    }
+    batched.Merge(batch);
+    each_pipeline.Tick(tick);
+    batch_pipeline.Tick(tick);
+  }
+  ASSERT_TRUE(each_pipeline.Finish("ok").ok());
+  ASSERT_TRUE(batch_pipeline.Finish("ok").ok());
+
+  EXPECT_EQ(FormatMetricsJson(batch_registry.Snapshot()),
+            FormatMetricsJson(each_registry.Snapshot()));
+  ASSERT_EQ(batch_sink.records().size(), each_sink.records().size());
+  for (size_t r = 0; r < each_sink.records().size(); ++r) {
+    EXPECT_EQ(FormatTelemetryRecord(batch_sink.records()[r]),
+              FormatTelemetryRecord(each_sink.records()[r]));
+  }
+}
+
 TEST(ObsTest, MetaIsCopiedIntoSnapshot) {
   Registry registry;
   registry.SetMeta("seed", "42");
@@ -228,6 +274,26 @@ TEST(JsonWriterTest, DoublesRoundTripShortest) {
   JsonWriter json2(&out);
   json2.Double(1.0 / 3.0);
   EXPECT_EQ(std::stod(out), 1.0 / 3.0);
+  // The "%.*g" text at the smallest precision that round-trips, across
+  // magnitudes, subnormals and the largest finite value.
+  const std::pair<double, const char*> pinned[] = {
+      {1.0 / 3.0, "0.3333333333333333"},
+      {1e23, "1e+23"},
+      {5e-324, "5e-324"},
+      {1.7976931348623157e308, "1.7976931348623157e+308"},
+      {0.1 + 0.2, "0.30000000000000004"},
+      {123456789.0, "123456789"},
+      {1e-5, "1e-05"},
+      {-2.5, "-2.5"},
+      {0.0, "0"},
+      {2.2250738585072014e-308, "2.2250738585072014e-308"},
+      {4096.0, "4096"}};
+  for (const auto& [value, text] : pinned) {
+    out.clear();
+    JsonWriter writer(&out);
+    writer.Double(value);
+    EXPECT_EQ(out, text);
+  }
 }
 
 TEST(JsonWriterTest, CompactLayoutIsSingleLine) {

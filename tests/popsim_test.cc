@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -379,7 +380,9 @@ TEST(PopSimTest, InvalidOptionsAreRejected) {
 // all-knobs population of the invariance test). The digest covers every
 // per-client outcome; the other fields pin the slot span, the draw counts
 // and the recovery tallies, so a change to the access protocol, the stream
-// derivation or the counter folding moves at least one of them.
+// derivation or the counter folding moves at least one of them. The nearest-
+// rank percentiles pin the post-join reduce: p50/p95/p99 of access time,
+// then of data wait, then of tuning time.
 struct PopGolden {
   const char* name;
   uint64_t digest;
@@ -389,6 +392,7 @@ struct PopGolden {
   uint64_t rng_fault_draws;
   uint64_t retries;
   uint64_t cycle_restarts;
+  std::array<double, 9> percentiles;
 };
 
 void ExpectGolden(const PopulationSimulator& popsim,
@@ -403,6 +407,13 @@ void ExpectGolden(const PopulationSimulator& popsim,
   EXPECT_EQ(report->rng_fault_draws, golden.rng_fault_draws);
   EXPECT_EQ(report->retries, golden.retries);
   EXPECT_EQ(report->cycle_restarts, golden.cycle_restarts);
+  const std::array<double, 9> percentiles = {
+      report->p50_access_time, report->p95_access_time,
+      report->p99_access_time, report->p50_data_wait,
+      report->p95_data_wait,   report->p99_data_wait,
+      report->p50_tuning_time, report->p95_tuning_time,
+      report->p99_tuning_time};
+  EXPECT_EQ(percentiles, golden.percentiles);
 }
 
 TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
@@ -422,7 +433,9 @@ TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
   options.population.num_clients = 1000;
   options.seed = 0x9d5ab1;
   ExpectGolden(*popsim2, options,
-               {"lossless", 0x877daef6839bade3ull, 10, 10, 2000, 0, 0, 0});
+               {"lossless", 0x877daef6839bade3ull, 10, 10, 2000, 0, 0, 0,
+                {6.3909001167602142, 9.1796556072213882,
+                 9.8041739955611149, 4, 5, 5, 4, 5, 5}});
 
   options = PopSimOptions();
   options.population.num_clients = 1000;
@@ -430,13 +443,17 @@ TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
   options.faults = MustUniform(2, BernoulliSpec(0.35, /*corrupt=*/0.4));
   ExpectGolden(*popsim2, options,
                {"bernoulli", 0x9b37023a1c910736ull, 84, 84, 2000, 9093, 2311,
-                53});
+                53,
+                {13.8519017549895, 33.924788395255888,
+                 43.662057983644438, 10, 30, 40, 6, 11, 13}});
   options.recovery.max_retries_per_hop = 1;
   options.recovery.max_cycle_restarts = 0;
   options.recovery.max_scan_passes = 1;
   ExpectGolden(*popsim2, options,
                {"bernoulli_tight", 0x2f123a8723c222abull, 40, 40, 2000, 10971,
-                1564, 0});
+                1564, 0,
+                {12.634838420420955, 24.672450228470566,
+                 29.562617536639525, 9, 20, 25, 6, 14, 16}});
 
   options = PopSimOptions();
   options.population.num_clients = 500;
@@ -444,17 +461,23 @@ TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
   options.faults = MustUniform(3, BurstSpec());
   ExpectGolden(*popsim3, options,
                {"gilbert_elliott", 0xdbfa06767a69496cull, 53, 53, 1000, 9394,
-                674, 5});
+                674, 5,
+                {9.5997826353721134, 22.153909522935706,
+                 28.835169753644145, 5, 18, 25, 5, 10, 13}});
 
   options = PopSimOptions();
   options.population.num_clients = 800;
   options.seed = 4242;
   ExpectGolden(*popsim_rep, options,
-               {"replicated", 0xddce171c64927ab4ull, 12, 12, 1600, 0, 0, 0});
+               {"replicated", 0xddce171c64927ab4ull, 12, 12, 1600, 0, 0, 0,
+                {7.9166395796023448, 10.984051751257258,
+                 11.689234393587709, 5, 9, 9, 4, 5, 5}});
   options.faults = MustUniform(2, BernoulliSpec(0.3, 0.5));
   ExpectGolden(*popsim_rep, options,
                {"replicated_bernoulli", 0x32c2a8d4efad8a01ull, 90, 90, 1600,
-                6535, 1500, 24});
+                6535, 1500, 24,
+                {14.564820424925431, 31.296716952219462,
+                 44.017603987713542, 10, 27, 39, 6, 10, 13}});
 
   options = PopSimOptions();
   options.population.num_clients = 20'000;
@@ -469,7 +492,9 @@ TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
   options.degraded_faults = MustUniform(2, BurstSpec());
   ExpectGolden(*popsim2, options,
                {"degraded_doze", 0x1291867b19d4c2f6ull, 313, 80, 44015,
-                122402, 6890, 28});
+                122402, 6890, 28,
+                {6.6272451640831775, 13.591499117442854,
+                 19.836284783218506, 3, 10, 15, 4, 6, 8}});
 }
 
 uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <memory>
 #include <numeric>
+#include <random>
+#include <type_traits>
+#include <vector>
 
 #include "tree/builders.h"
 #include "util/rng.h"
@@ -91,6 +96,96 @@ TEST(RngTest, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
+// Rng's engine is a hand-written MT19937-64 that seeds on demand; its
+// output must be std::mt19937_64's, output for output. The draw counts end
+// at and around the points where on-demand seeding finishes (156 outputs)
+// and where a block ends (312 outputs).
+constexpr uint64_t kEngineDrawCounts[] = {0,   1,   155, 156, 157,
+                                          311, 312, 313, 624, 10'000};
+
+std::vector<uint64_t> EngineTestSeeds() {
+  std::vector<uint64_t> seeds = {0, 5489, UINT64_MAX};
+  for (uint64_t i = 0; i < 200; ++i) seeds.push_back(MixSeed(i));
+  return seeds;
+}
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  const std::vector<uint64_t> seeds = EngineTestSeeds();
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    for (uint64_t draws : kEngineDrawCounts) {
+      // The three fixed seeds run every count; the mixed seeds one each.
+      const size_t pick = s % std::size(kEngineDrawCounts);
+      if (s >= 3 && draws != kEngineDrawCounts[pick]) continue;
+      SCOPED_TRACE(testing::Message() << "seed " << seeds[s] << ", draws "
+                                      << draws);
+      Rng rng(seeds[s]);
+      std::mt19937_64 reference(seeds[s]);
+      for (uint64_t i = 0; i < draws; ++i) {
+        ASSERT_EQ(rng.NextU64(), reference()) << "output " << i;
+      }
+      EXPECT_EQ(rng.draw_count(), draws);
+    }
+  }
+}
+
+TEST(RngTest, EngineMatchesTheStandardCheckValue) {
+  // The standard fixes the 10,000th output of a default-seeded (5489)
+  // mt19937_64.
+  Rng rng(5489);
+  uint64_t output = 0;
+  for (int i = 0; i < 10'000; ++i) output = rng.NextU64();
+  EXPECT_EQ(output, 9981545732273789042ull);
+}
+
+TEST(RngTest, CopyTakenMidBlockContinuesIdentically) {
+  for (uint64_t split : kEngineDrawCounts) {
+    SCOPED_TRACE(testing::Message() << "copied after " << split);
+    Rng original(0xC0FFEE);
+    for (uint64_t i = 0; i < split; ++i) original.NextU64();
+    // Before 156 draws the original has not yet seeded its whole state; the
+    // copies must finish seeding it exactly as the original does.
+    Rng copied(original);
+    Rng assigned(1);
+    assigned.NextU64();
+    assigned = original;
+    Rng copy_of_copy(copied);
+    EXPECT_EQ(copied.draw_count(), split);
+    EXPECT_EQ(assigned.draw_count(), split);
+    for (int i = 0; i < 700; ++i) {
+      const uint64_t expected = original.NextU64();
+      ASSERT_EQ(copied.NextU64(), expected) << "output " << i;
+      ASSERT_EQ(assigned.NextU64(), expected) << "output " << i;
+      ASSERT_EQ(copy_of_copy.NextU64(), expected) << "output " << i;
+    }
+  }
+}
+
+TEST(RngTest, DrawCountAndUniformIntRejectionMatchTheStdEngine) {
+  // A range just above 2^62 rejects about a quarter of all raw draws, so
+  // the draw count pins how many engine outputs each rejection loop took.
+  const int64_t hi = int64_t{1} << 62;
+  const uint64_t range = static_cast<uint64_t>(hi) + 1;
+  const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  Rng rng(99);
+  std::mt19937_64 reference(99);
+  uint64_t reference_draws = 0;
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t draw;
+    do {
+      draw = reference();
+      ++reference_draws;
+    } while (draw >= limit);
+    ASSERT_EQ(rng.UniformInt(0, hi), static_cast<int64_t>(draw % range));
+    ASSERT_EQ(rng.draw_count(), reference_draws);
+  }
+  EXPECT_GT(reference_draws, 2300u);  // the rejection loop really ran
+  // Every helper bottoms out in NextU64: one draw per uniform double.
+  const uint64_t before = rng.draw_count();
+  rng.UniformDouble();
+  rng.Bernoulli(0.5);
+  EXPECT_EQ(rng.draw_count(), before + 2);
+}
+
 TEST(RngTest, UniformIntCoversRangeInclusively) {
   Rng rng(5);
   bool saw_lo = false, saw_hi = false;
@@ -158,6 +253,18 @@ TEST(ResultTest, HoldsValueOrStatus) {
   Result<int> err_result(NotFoundError("missing"));
   EXPECT_FALSE(err_result.ok());
   EXPECT_EQ(err_result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ResultTest, RvalueDereferenceMoves) {
+  // A move-only value: `*std::move(result)` compiles only if it moves.
+  Result<std::unique_ptr<int>> result(std::make_unique<int>(7));
+  static_assert(std::is_same_v<decltype(*std::move(result)),
+                               std::unique_ptr<int>&&>);
+  std::unique_ptr<int> taken = *std::move(result);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 7);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(*result, nullptr);  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(ResultDeathTest, ValueOnErrorChecks) {
