@@ -1,12 +1,12 @@
 #include "core/planner.h"
 
-#include <utility>
-
+#include <exception>
 #include <string>
+#include <utility>
 
 #include "alloc/baselines.h"
 #include "broadcast/schedule_builder.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 #include "verify/verifier.h"
 
@@ -193,52 +193,34 @@ Result<BroadcastPlan> PlanBroadcast(const IndexTree& tree,
 
 std::vector<Result<BroadcastPlan>> PlanMany(
     const std::vector<PlanRequest>& requests, int num_threads,
-    ThreadPool::TaskHook task_hook) {
-  // Prefilled so a request whose pool task never completes — a throwing
-  // task-hook (fault injection) skips the body, and the null-tree case below
-  // short-circuits — holds a Status, not an uninitialized slot. Slots still
-  // carrying this sentinel after Wait() are rewritten with the group's
-  // error below.
+    TaskHook task_hook) {
+  obs::ScopedSpan span("plan_many");
+  // Join-synchronized, deliberately unannotated (util/thread_annotations.h
+  // conventions): each index writes only its own slot and the vector is not
+  // resized while they run, so ParallelFor's join is the only happens-before
+  // edge needed. The fill value is a placeholder: every body assigns its slot.
   std::vector<Result<BroadcastPlan>> results(
-      requests.size(),
-      Result<BroadcastPlan>(InternalError("PlanMany slot not filled")));
-  auto plan_one = [&](size_t i) {
+      requests.size(), Result<BroadcastPlan>(InternalError("not planned")));
+  auto plan_one = [&](size_t i) -> Result<BroadcastPlan> {
+    if (task_hook) task_hook(i);
     const PlanRequest& request = requests[i];
     if (request.tree == nullptr) {
-      results[i] = InvalidArgumentError("PlanRequest::tree is null");
-      return;
+      return InvalidArgumentError("PlanRequest::tree is null");
     }
-    results[i] = PlanBroadcast(*request.tree, request.options);
+    return PlanBroadcast(*request.tree, request.options);
   };
-
-  if (num_threads == 0) num_threads = ThreadPool::HardwareConcurrency();
-  if (num_threads <= 1 || requests.size() <= 1) {
-    for (size_t i = 0; i < requests.size(); ++i) plan_one(i);
-    return results;
-  }
-
-  obs::ScopedSpan span("plan_many");
-  ThreadPool pool(num_threads, std::move(task_hook));
-  TaskGroup group(&pool);
-  // Join-synchronized, deliberately unannotated (util/thread_annotations.h
-  // conventions): each task writes only its own slot and the vector is not
-  // resized while tasks run, so the only happens-before edge needed is
-  // TaskGroup::Wait() — a BCAST_GUARDED_BY here would force a pointless lock.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    group.Run([&plan_one, i] { plan_one(i); });
-  }
-  const Status pool_status = group.Wait();
-  if (!pool_status.ok()) {
-    // Some task bodies were skipped (hook threw, task threw). Their slots
-    // still hold the prefill sentinel; surface the group's first error there
-    // so callers see why that request has no plan.
-    for (auto& slot : results) {
-      if (!slot.ok() && slot.status().code() == StatusCode::kInternal &&
-          slot.status().message() == "PlanMany slot not filled") {
-        slot = pool_status;
-      }
+  if (num_threads == 0) num_threads = HardwareConcurrency();
+  // Every body catches its own exception into its own slot, so the batch
+  // status is always OK.
+  (void)ParallelFor(num_threads, requests.size(), [&](size_t i) {
+    try {
+      results[i] = plan_one(i);
+    } catch (const std::exception& e) {
+      results[i] = InternalError(std::string("plan request threw: ") + e.what());
+    } catch (...) {
+      results[i] = InternalError("plan request threw a non-std exception");
     }
-  }
+  });
   return results;
 }
 

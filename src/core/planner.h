@@ -9,6 +9,8 @@
 #ifndef BCAST_CORE_PLANNER_H_
 #define BCAST_CORE_PLANNER_H_
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "alloc/replication.h"
 #include "broadcast/cost.h"
 #include "broadcast/schedule.h"
-#include "exec/thread_pool.h"
 #include "tree/index_tree.h"
 #include "util/status.h"
 
@@ -99,24 +100,28 @@ struct PlanRequest {
   PlannerOptions options;
 };
 
-/// Plans a batch of independent broadcast cycles concurrently on a
-/// work-stealing pool (exec/thread_pool.h), one task per request.
-/// `num_threads` follows the OptimalOptions convention: 0 = hardware
-/// concurrency, 1 = plan sequentially on the calling thread. Result i is
-/// exactly what PlanBroadcast(*requests[i].tree, requests[i].options) would
-/// return — per-request errors land in the corresponding slot instead of
-/// failing the batch. Intended for replanning fleets of trees at once (see
+/// Called with the request's index before that request is planned: the
+/// chaos-testing seam (fault/task_fault.h). May throw, exactly like a
+/// throwing planner.
+using TaskHook = std::function<void(uint64_t request_index)>;
+
+/// Plans a batch of independent broadcast cycles concurrently, one
+/// exec/parallel_for.h index per request. `num_threads` follows the
+/// OptimalOptions convention: 0 = hardware concurrency, 1 = plan
+/// sequentially on the calling thread. Result i is exactly what
+/// PlanBroadcast(*requests[i].tree, requests[i].options) would return —
+/// per-request errors land in the corresponding slot instead of failing the
+/// batch. Intended for replanning fleets of trees at once (see
 /// sim/server_sim.h's adaptive server).
 ///
-/// `task_hook`, when non-null, is installed as the pool's per-task hook
-/// (fault injection, tracing). A throwing hook or task does not crash or
-/// hang the batch: the pool converts it to a Status, and every slot whose
-/// task did not complete receives that Status instead of a plan. The hook is
-/// ignored on the sequential inline path (num_threads <= 1 or a single
-/// request) — there is no pool task to intercept.
+/// `task_hook`, when non-null, runs as hook(i) right before request i is
+/// planned, on every call whatever the thread count or batch size. A hook or
+/// planner that throws does not crash or hang the batch: the exception
+/// becomes a kInternal Status in request i's own slot, and the other
+/// requests are planned as usual.
 std::vector<Result<BroadcastPlan>> PlanMany(
     const std::vector<PlanRequest>& requests, int num_threads = 0,
-    ThreadPool::TaskHook task_hook = nullptr);
+    TaskHook task_hook = nullptr);
 
 }  // namespace bcast
 

@@ -1,17 +1,18 @@
 // Fault injection for the planner's own execution substrate.
 //
 // fault_model.h chaos-tests the *medium* (lost buckets on the downlink);
-// this module chaos-tests the *planner*: a TaskFaultInjector hooks into the
-// ThreadPool's per-task hook and makes a configurable fraction of pool tasks
-// throw or stall, proving that task exceptions surface as Status through
-// TaskGroup::Wait() and that the adaptive server's degradation ladder keeps
-// serving verifier-clean plans when replans fail mid-flight.
+// this module chaos-tests the *planner*: a TaskFaultInjector hooks into
+// core/PlanMany's per-request hook and makes a configurable fraction of
+// planning requests throw or stall, proving that a planning exception
+// surfaces as a Status in that request's result and that the adaptive
+// server's degradation ladder keeps serving verifier-clean plans when
+// replans fail mid-flight.
 //
 // Determinism: the fail/stall decision for task index i is a pure function of
 // (seed, i) — a stateless hash of the RngStream::kTaskFault substream key and
 // the task index — so a chaos run faults the same task indices regardless of
-// which worker runs which task or in what order, and an injector with zero
-// fractions perturbs nothing.
+// the thread count, which thread plans which request or in what order, and
+// an injector with zero fractions perturbs nothing.
 
 #ifndef BCAST_FAULT_TASK_FAULT_H_
 #define BCAST_FAULT_TASK_FAULT_H_
@@ -26,10 +27,10 @@
 namespace bcast {
 
 struct TaskFaultOptions {
-  /// Fraction of pool tasks that throw TaskFaultError. In [0, 1].
+  /// Fraction of tasks that throw TaskFaultError. In [0, 1].
   double fail_fraction = 0.0;
 
-  /// Fraction of pool tasks that stall for stall_ns before running. In
+  /// Fraction of tasks that stall for stall_ns before running. In
   /// [0, 1]; fail_fraction + stall_fraction must be <= 1.
   double stall_fraction = 0.0;
 
@@ -44,7 +45,7 @@ struct TaskFaultOptions {
 };
 
 /// The exception an injected task failure throws. Deliberately a
-/// std::runtime_error subclass: the ThreadPool must convert *arbitrary* task
+/// std::runtime_error subclass: PlanMany must convert *arbitrary* planning
 /// exceptions to Status, not just a type it knows about.
 class TaskFaultError : public std::runtime_error {
  public:
@@ -52,7 +53,7 @@ class TaskFaultError : public std::runtime_error {
 };
 
 /// Deterministic task-level chaos. Thread-safe: OnTask is called concurrently
-/// from pool workers.
+/// from PlanMany's workers.
 class TaskFaultInjector {
  public:
   /// Validates fractions (each in [0,1], sum <= 1).
@@ -68,8 +69,8 @@ class TaskFaultInjector {
   /// the fault/stall counters.
   void OnTask(uint64_t task_index);
 
-  /// Adapter for ThreadPool's TaskHook slot. The injector must outlive the
-  /// pool.
+  /// Adapter for PlanMany's TaskHook: the task index is the request index.
+  /// The injector must outlive the PlanMany call.
   std::function<void(uint64_t)> Hook() {
     return [this](uint64_t task_index) { OnTask(task_index); };
   }

@@ -4,9 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/stream.h"
@@ -15,12 +16,12 @@ namespace bcast {
 
 namespace {
 
-// Auto-sharding: ~4k clients per shard leaves plenty of shards to balance
-// across any pool. Deliberately a function of the population alone — never
-// of the thread count — so shard boundaries (and thus nothing at all) change
-// between runs on different machines.
+// Auto-sharding: ~4k clients per shard (at most kMaxAutoShards shards)
+// leaves plenty of shards to balance across the workers. Deliberately a
+// function of the population alone — never of the thread count — so shard
+// boundaries (and thus nothing at all) change between runs on different
+// machines.
 constexpr uint64_t kClientsPerShard = 4096;
-constexpr int kMaxAutoShards = 512;
 
 uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -114,8 +115,9 @@ Result<PopReport> PopulationSimulator::Run(
 
   auto sampler = PopulationSampler::Create(sim_.tree(), options.population);
   if (!sampler.ok()) return sampler.status();
-  if (options.num_threads < 0) {
-    return InvalidArgumentError("num_threads must be >= 0");
+  if (options.num_threads < 0 || options.num_threads > kMaxAutoShards) {
+    return InvalidArgumentError("num_threads must be in [0, " +
+                                std::to_string(kMaxAutoShards) + "]");
   }
   if (options.num_shards < 0) {
     return InvalidArgumentError("num_shards must be >= 0");
@@ -123,7 +125,7 @@ Result<PopReport> PopulationSimulator::Run(
 
   const uint64_t n = options.population.num_clients;
   const int threads = options.num_threads == 0
-                          ? ThreadPool::HardwareConcurrency()
+                          ? std::min(HardwareConcurrency(), kMaxAutoShards)
                           : options.num_threads;
   uint64_t shards =
       options.num_shards > 0
@@ -145,9 +147,8 @@ Result<PopReport> PopulationSimulator::Run(
   const Rng base(options.seed);
 
   // Contiguous, population-determined shard ranges. Each shard is fully
-  // independent, so with one thread they run inline and with many they are
-  // just pool tasks — same work, same per-client streams, bitwise-identical
-  // outcomes either way.
+  // independent, so the thread count changes only which worker runs it —
+  // same work, same per-client streams, bitwise-identical outcomes.
   const uint64_t per_shard = n / shards;
   const uint64_t remainder = n % shards;
   auto shard_range = [&](uint64_t s) {
@@ -155,25 +156,11 @@ Result<PopReport> PopulationSimulator::Run(
     const uint64_t size = per_shard + (s < remainder ? 1 : 0);
     return std::pair<uint64_t, uint64_t>(begin, begin + size);
   };
-
-  if (threads <= 1 || shards == 1) {
-    for (uint64_t s = 0; s < shards; ++s) {
-      auto [begin, end] = shard_range(s);
-      RunShard(begin, end, options, *sampler, base, record_histograms,
-               fleet.data(), &stats[s]);
-    }
-  } else {
-    ThreadPool pool(threads);
-    TaskGroup group(&pool);
-    for (uint64_t s = 0; s < shards; ++s) {
-      group.Run([&, s] {
-        auto [begin, end] = shard_range(s);
-        RunShard(begin, end, options, *sampler, base, record_histograms,
-                 fleet.data(), &stats[s]);
-      });
-    }
-    BCAST_RETURN_IF_ERROR(group.Wait());
-  }
+  BCAST_RETURN_IF_ERROR(ParallelFor(threads, shards, [&](size_t s) {
+    auto [begin, end] = shard_range(s);
+    RunShard(begin, end, options, *sampler, base, record_histograms,
+             fleet.data(), &stats[s]);
+  }));
 
   // Deterministic aggregation: integer tallies sum in shard order; every
   // floating-point reduction (means, percentiles, digest) runs single-
@@ -182,7 +169,8 @@ Result<PopReport> PopulationSimulator::Run(
   PopReport report;
   report.num_clients = n;
   report.shards_used = static_cast<int>(shards);
-  report.threads_used = threads <= 1 || shards == 1 ? 1 : threads;
+  report.threads_used =
+      static_cast<int>(std::min(static_cast<uint64_t>(threads), shards));
   for (const ShardStats& s : stats) {
     report.buckets_lost += s.sim.buckets_lost;
     report.buckets_corrupted += s.sim.buckets_corrupted;

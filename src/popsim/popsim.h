@@ -8,10 +8,10 @@
 // client runs start to finish, in id order within its shard.
 //
 // Scale-out and determinism contract:
-//   * The fleet is split into shards (contiguous client-id ranges) that run
-//     as tasks on the work-stealing exec::ThreadPool. Each shard writes its
-//     own slice of the outcome array and shares nothing else mutable, so
-//     shards need no synchronization at all.
+//   * The fleet is split into shards (contiguous client-id ranges), one
+//     exec/parallel_for.h index each. Each shard writes its own slice of the
+//     outcome array and shares nothing else mutable, so shards need no
+//     synchronization at all.
 //   * Client c's randomness comes exclusively from the keyed substream
 //     Substream(RngStream::kClient, c) of the run seed: target and arrival
 //     from that generator, fault draws from *its* kFault substream. No draw
@@ -56,8 +56,9 @@ struct PopSimOptions {
   RecoveryOptions recovery;
   /// Run seed; client c draws from Substream(RngStream::kClient, c).
   uint64_t seed = 0xC11;
-  /// Worker threads; 0 = ThreadPool::HardwareConcurrency(). Never affects
-  /// results, only wall clock.
+  /// Worker threads; 0 = HardwareConcurrency() (exec/parallel_for.h). At
+  /// most PopulationSimulator::kMaxAutoShards. Never affects results, only
+  /// wall clock.
   int num_threads = 1;
   /// Fleet shards; 0 = auto (a function of the population size only, so a
   /// run is reproducible regardless of the machine's core count).
@@ -118,6 +119,7 @@ struct PopReport {
   uint64_t digest = 0;
 
   int shards_used = 0;
+  /// Workers that ran the shards: min(threads, shards_used).
   int threads_used = 0;
 };
 
@@ -125,6 +127,11 @@ struct PopReport {
 /// (and nothing else) must outlive the simulator.
 class PopulationSimulator {
  public:
+  /// Cap on the auto shard count, and on PopSimOptions::num_threads: more
+  /// threads than auto shards could never all be busy, and an unbounded
+  /// count would ask the OS for that many threads.
+  static constexpr int kMaxAutoShards = 512;
+
   /// Errors if the schedule is infeasible for the tree.
   static Result<PopulationSimulator> Create(const IndexTree& tree,
                                             const BroadcastSchedule& schedule);

@@ -72,12 +72,12 @@ Result<AdaptiveServerReport> RunAdaptiveServer(
   plan_options.optimal.budget.deadline_ns = options.plan_deadline_ns;
   plan_options.optimal.budget.clock = options.plan_clock;
 
-  // Chaos injector for the planning pool (inactive by default). The injector
-  // outlives every PlanMany call below; each cycle wraps it in a hook that
-  // offsets the pool-local task index by the cycle, because PlanMany builds
-  // a fresh pool per call (indices restart at 0) and an unoffset injector
-  // would fault the same batch positions every cycle. PlanMany submits the
-  // batch sequentially, so (cycle, slot) -> fault is fully deterministic.
+  // Chaos injector for the planning batch (inactive by default). The
+  // injector outlives every PlanMany call below; each cycle wraps it in a
+  // hook that offsets PlanMany's request index by the cycle, because an
+  // unoffset injector would fault the same batch positions every cycle. So
+  // (cycle, request) -> fault is fully deterministic, whatever the thread
+  // count.
   std::optional<TaskFaultInjector> task_fault_injector;
   if (options.task_faults.active()) {
     auto injector = TaskFaultInjector::Create(options.task_faults);
@@ -165,10 +165,10 @@ Result<AdaptiveServerReport> RunAdaptiveServer(
       }
       batch.push_back({&*next_tree, server_options});
     }
-    // All parallelism is encapsulated in PlanMany's pool-and-join; the
+    // All parallelism is encapsulated in PlanMany's fork-join; the
     // simulator itself stays single-threaded, so none of its state needs
     // lock annotations (util/thread_annotations.h conventions).
-    ThreadPool::TaskHook cycle_hook = nullptr;
+    TaskHook cycle_hook = nullptr;
     if (task_fault_injector.has_value()) {
       TaskFaultInjector* injector = &*task_fault_injector;
       const uint64_t base = static_cast<uint64_t>(cycle) * 1024;
@@ -181,9 +181,9 @@ Result<AdaptiveServerReport> RunAdaptiveServer(
 
     Result<BroadcastPlan> oracle_plan = std::move(plans[0]);
     if (!oracle_plan.ok() && task_fault_injector.has_value()) {
-      // An injected pool fault can kill the oracle's task too. The oracle is
+      // An injected fault can kill the oracle's request too. The oracle is
       // the report's baseline, not part of the serving ladder, so retry it
-      // inline (no pool, no hook) once.
+      // once without the hook.
       obs::GetCounter("sim.oracle_plan_retries").Increment();
       oracle_plan = PlanBroadcast(*oracle_tree, plan_options);
     }

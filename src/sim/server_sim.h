@@ -84,9 +84,10 @@ struct AdaptiveServerOptions {
   /// propagate the planning error.
   bool allow_stale = true;
   /// Chaos testing: injects deterministic failures/stalls into the planning
-  /// pool's tasks (fault/task_fault.h). Only pooled plans are exposed
-  /// (planner_threads >= 2 and a batch of >= 2 requests); a killed oracle
-  /// task is retried inline so the report baseline survives.
+  /// batch's requests (fault/task_fault.h), keyed by (cycle, request index),
+  /// so a chaos run is identical for every planner_threads value. A killed
+  /// oracle request is retried without the hook so the report baseline
+  /// survives.
   TaskFaultOptions task_faults;
   /// Streaming telemetry (obs/stream.h): when set, each cycle stages the
   /// realized/oracle waits, estimation error, delivery rate and the served

@@ -12,8 +12,8 @@
 //    including fields of nested structs guarded by a sibling member;
 //  * functions that must be called with a lock held are annotated
 //    BCAST_REQUIRES(mutex) instead of re-acquiring;
-//  * state synchronized by a join/drain rather than a lock (e.g. the thread
-//    pool's per-worker tallies) is documented in a comment, not annotated —
+//  * state synchronized by a join rather than a lock (e.g. ParallelFor's
+//    per-worker failure records) is documented in a comment, not annotated —
 //    the analysis has no vocabulary for happens-before edges;
 //  * BCAST_NO_THREAD_SAFETY_ANALYSIS is a last resort and must carry a
 //    justification comment at the call site.

@@ -1,5 +1,5 @@
 // Chaos suite: deterministic task-fault injection (fault/task_fault.h)
-// against the planning pool, and the adaptive server's four-stage
+// against the planning batch, and the adaptive server's four-stage
 // degradation ladder surviving it end to end.
 
 #include <gtest/gtest.h>
@@ -86,7 +86,7 @@ TEST(TaskFaultInjectorTest, FailFractionIsRoughlyHonored) {
 }
 
 TEST(ChaosTest, AdaptiveServerSurvivesInjectedTaskFaults) {
-  // The acceptance run: 50 cycles with 10% of planning-pool tasks throwing.
+  // The acceptance run: 50 cycles with 10% of planning requests throwing.
   // The run must complete with every cycle served from some ladder stage and
   // the planner.degraded.* counters accounting for every non-exact cycle.
   obs::Registry registry;
@@ -99,7 +99,7 @@ TEST(ChaosTest, AdaptiveServerSurvivesInjectedTaskFaults) {
     options.num_channels = 2;
     options.strategy = PlanStrategy::kOptimal;
     options.replan_every = 1;
-    options.planner_threads = 2;  // pooled planning, or faults never fire
+    options.planner_threads = 2;  // faults fire at every thread count
     options.task_faults.fail_fraction = 0.10;
     options.task_faults.seed = 7;
     Rng rng(123);
@@ -137,34 +137,52 @@ TEST(ChaosTest, AdaptiveServerSurvivesInjectedTaskFaults) {
   EXPECT_GE(stale_cycles, report->stale_serves);
 }
 
+Result<AdaptiveServerReport> RunDeterminismChaosConfig(int planner_threads) {
+  AdaptiveServerOptions options;
+  options.num_cycles = 30;
+  options.queries_per_cycle = 20;
+  options.num_channels = 2;
+  options.strategy = PlanStrategy::kOptimal;
+  options.replan_every = 1;
+  options.planner_threads = planner_threads;
+  options.task_faults.fail_fraction = 0.15;
+  options.task_faults.seed = 11;
+  Rng rng(99);
+  std::vector<double> weights(10, 1.0);
+  return RunAdaptiveServer(weights, nullptr, &rng, options);
+}
+
+void ExpectSameChaosReport(const AdaptiveServerReport& a,
+                           const AdaptiveServerReport& b) {
+  ASSERT_EQ(a.cycles.size(), b.cycles.size());
+  EXPECT_EQ(a.stale_serves, b.stale_serves);
+  EXPECT_EQ(a.backoff_skips, b.backoff_skips);
+  for (size_t i = 0; i < a.cycles.size(); ++i) {
+    EXPECT_EQ(a.cycles[i].served_provenance, b.cycles[i].served_provenance);
+    EXPECT_EQ(a.cycles[i].realized_data_wait, b.cycles[i].realized_data_wait);
+  }
+}
+
 TEST(ChaosTest, ChaosRunIsDeterministic) {
   // Same seeds, same options -> identical report, including which cycles
-  // went stale: the injector keys on (cycle, batch slot), both deterministic.
-  auto run = [] {
-    AdaptiveServerOptions options;
-    options.num_cycles = 30;
-    options.queries_per_cycle = 20;
-    options.num_channels = 2;
-    options.strategy = PlanStrategy::kOptimal;
-    options.replan_every = 1;
-    options.planner_threads = 2;
-    options.task_faults.fail_fraction = 0.15;
-    options.task_faults.seed = 11;
-    Rng rng(99);
-    std::vector<double> weights(10, 1.0);
-    return RunAdaptiveServer(weights, nullptr, &rng, options);
-  };
-  auto a = run();
-  auto b = run();
+  // went stale: the injector keys on (cycle, request index), both
+  // deterministic.
+  auto a = RunDeterminismChaosConfig(2);
+  auto b = RunDeterminismChaosConfig(2);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->cycles.size(), b->cycles.size());
-  EXPECT_EQ(a->stale_serves, b->stale_serves);
-  EXPECT_EQ(a->backoff_skips, b->backoff_skips);
-  for (size_t i = 0; i < a->cycles.size(); ++i) {
-    EXPECT_EQ(a->cycles[i].served_provenance, b->cycles[i].served_provenance);
-    EXPECT_EQ(a->cycles[i].realized_data_wait, b->cycles[i].realized_data_wait);
-  }
+  ExpectSameChaosReport(*a, *b);
+}
+
+TEST(ChaosTest, ReportIsInvariantAcrossPlannerThreads) {
+  // The hook runs on every PlanMany call, sequential planning included, so
+  // the thread count changes nothing a chaos run reports.
+  auto sequential = RunDeterminismChaosConfig(1);
+  auto pooled = RunDeterminismChaosConfig(2);
+  ASSERT_TRUE(sequential.ok());
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_GE(sequential->stale_serves, 1) << "no replan ever failed";
+  ExpectSameChaosReport(*sequential, *pooled);
 }
 
 TEST(ChaosTest, AllowStaleFalsePropagatesThePlanningError) {

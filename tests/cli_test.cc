@@ -69,8 +69,8 @@ TEST(CliTest, PlanRejectsBadChannelCount) {
 
 TEST(CliTest, PlanRejectsBadThreadCounts) {
   // plan still validates --threads, although the exact search it feeds is
-  // single-threaded. It also sizes the adaptive server's planner pool (>= 1)
-  // and the population simulator's pool (>= 0, 0 = hardware).
+  // single-threaded. It also sizes the adaptive server's planner threads
+  // (>= 1) and the population simulator's (0 = hardware, at most 512).
   std::string out;
   EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--threads", "0"}, &out),
             1);
@@ -97,6 +97,10 @@ TEST(CliTest, PlanRejectsBadThreadCounts) {
                        &out),
             1);
   EXPECT_NE(out.find("--threads must be >= 0"), std::string::npos);
+  EXPECT_EQ(RunCommand({"popsim", "--tree", kExampleTree, "--threads", "513"},
+                       &out),
+            1);
+  EXPECT_NE(out.find("--threads must be <= 512"), std::string::npos);
 }
 
 TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -269,13 +270,17 @@ TEST(PopSimTest, ReportIsInvariantAcrossThreadAndShardCounts) {
     int threads;
     int shards;
   };
-  for (Shape shape : {Shape{2, 0}, Shape{8, 0}, Shape{8, 13}, Shape{4, 1}}) {
+  for (Shape shape : {Shape{2, 0}, Shape{8, 0}, Shape{8, 13}, Shape{4, 1},
+                      Shape{8, 2}}) {
     options.num_threads = shape.threads;
     options.num_shards = shape.shards;
     std::vector<ClientOutcome> outcomes;
     auto report = popsim->Run(options, &outcomes);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ExpectReportsIdentical(*baseline, *report);
+    // The workers that actually ran: never more than there are shards.
+    EXPECT_EQ(report->threads_used,
+              std::min(shape.threads, report->shards_used));
     for (uint64_t i = 0; i < outcomes.size(); ++i) {
       ASSERT_EQ(outcomes[i].success, baseline_outcomes[i].success) << i;
       ASSERT_EQ(outcomes[i].probe_wait, baseline_outcomes[i].probe_wait) << i;
@@ -374,6 +379,27 @@ TEST(PopSimTest, InvalidOptionsAreRejected) {
   options = PopSimOptions();
   options.population.doze_fraction = 0.5;  // needs max_doze_cycles >= 1
   EXPECT_FALSE(popsim->Run(options).ok());
+}
+
+TEST(PopSimTest, ThreadCountAboveTheShardCapIsRejected) {
+  IndexTree tree = MakePaperExampleTree();
+  BroadcastPlan plan = MustPlan(tree, 2);
+  auto popsim = PopulationSimulator::Create(tree, plan.schedule);
+  ASSERT_TRUE(popsim.ok());
+
+  PopSimOptions options;
+  options.population.num_clients = 4;
+  options.num_threads = PopulationSimulator::kMaxAutoShards + 1;
+  auto rejected = popsim->Run(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // The cap itself is accepted; four shards still make only four workers.
+  options.num_threads = PopulationSimulator::kMaxAutoShards;
+  options.num_shards = 4;
+  auto accepted = popsim->Run(options);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted->threads_used, 4);
 }
 
 // Pinned reports of the configurations the differential tests run (plus the

@@ -764,6 +764,11 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
   if (!threads.ok()) return threads.status();
   if (!shards.ok()) return shards.status();
   if (*threads < 0) return InvalidArgumentError("--threads must be >= 0");
+  if (*threads > PopulationSimulator::kMaxAutoShards) {
+    return InvalidArgumentError(
+        "--threads must be <= " +
+        std::to_string(PopulationSimulator::kMaxAutoShards));
+  }
   if (*shards < 0) return InvalidArgumentError("--shards must be >= 0");
   options.num_threads = *threads;
   options.num_shards = *shards;

@@ -31,8 +31,9 @@ into structured, per-line static rules over ``src/``:
                    growth. Statically backs the counting-allocator proof of
                    tests/alloc_free_search_test.cc.
   raw-thread       ``std::thread``/``std::async`` only inside src/exec/ —
-                   all other code parallelizes through the work-stealing
-                   ThreadPool so determinism and draining stay centralized.
+                   all other code parallelizes through ParallelFor
+                   (exec/parallel_for.h) so joins and error handling stay
+                   centralized.
   telemetry-sink   No direct file writes (``std::ofstream``, ``fopen``,
                    ``fwrite``, ...) inside src/sim/ or src/popsim/: engines
                    emit through an injected obs::TelemetrySink so output can
@@ -387,12 +388,14 @@ def rule_hot_path_alloc(path, raw, scrubbed):
 
 
 _THREAD_TOKENS = (
-    (r"\bstd::(?:thread|jthread)\b", "raw std::thread — run on the "
-     "work-stealing exec::ThreadPool so draining and determinism stay "
+    (r"\bstd::(?:thread|jthread)\b", "raw std::thread — fork-join through "
+     "ParallelFor (exec/parallel_for.h) so joins and error handling stay "
      "centralized"),
-    (r"\bstd::async\b", "std::async — use exec::ThreadPool + TaskGroup"),
-    (r"\bpthread_create\b", "pthread_create — use exec::ThreadPool"),
-    (r"#\s*include\s*<future>", "<future> include — use exec/thread_pool.h"),
+    (r"\bstd::async\b", "std::async — use ParallelFor (exec/parallel_for.h)"),
+    (r"\bpthread_create\b",
+     "pthread_create — use ParallelFor (exec/parallel_for.h)"),
+    (r"#\s*include\s*<future>",
+     "<future> include — use ParallelFor (exec/parallel_for.h)"),
 )
 
 
