@@ -151,6 +151,26 @@ void BM_PlanBroadcastAuto(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanBroadcastAuto)->Arg(8)->Arg(200);
 
+// Exact planning at serving-loop size: 18 Zipf(0.9) items under a greedy
+// fanout-3 index (27 nodes), two channels. Under --obs this leg shows any
+// work a live registry adds to an exact plan.
+void BM_PlanBroadcastExact(benchmark::State& state) {
+  std::vector<double> weights = ZipfWeights(18, 0.9);
+  std::vector<DataItem> items;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    items.push_back({"item" + std::to_string(i), weights[i]});
+  }
+  IndexTree tree = std::move(BuildGreedyAlphabeticTree(items, 3)).value();
+  PlannerOptions options;
+  options.num_channels = 2;
+  options.strategy = PlanStrategy::kOptimal;
+  for (auto _ : state) {
+    auto plan = PlanBroadcast(tree, options);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanBroadcastExact);
+
 void BM_SimulatedQueries(benchmark::State& state) {
   IndexTree tree = MakeBenchTree(50, 17);
   PlannerOptions options;

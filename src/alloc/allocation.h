@@ -100,7 +100,7 @@ struct SearchStats {
 /// "search.topo_dfs"). No-op when no registry is installed.
 void EmitSearchStats(const char* prefix, const SearchStats& stats);
 
-/// Emits the deterministic per-rule breakdown under the thread-invariant
+/// Publishes a census (PruningCensus in alloc/optimal.h) under the
 /// "pruning." namespace. No-op when no registry is installed.
 void EmitPruningBreakdown(const SearchStats& stats);
 

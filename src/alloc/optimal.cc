@@ -13,25 +13,9 @@ namespace bcast {
 
 namespace {
 
-// Budget for the deterministic pruning-breakdown recount. Snapshot-only work
-// (it never runs without a registry installed), so it is capped well below
-// the optimizer's own expansion limit and simply marks itself truncated when
-// the reduced tree is larger.
-constexpr uint64_t kBreakdownNodeLimit = 2'000'000;
-
-// Re-enumerates the reduced tree without bound, incumbent or memo, whose
-// stats are a pure function of (tree, options), and publishes that under
-// "pruning.*". The live search counters (search.*) depend on the seed and
-// the bound as well.
-void EmitDeterministicBreakdown(TopoTreeSearch* search) {
-  if (!obs::MetricsEnabled()) return;
-  auto stats = search->ReducedTreeStats(kBreakdownNodeLimit);
-  if (!stats.ok()) {
-    obs::GetCounter("pruning.breakdown_truncated").Increment();
-    return;
-  }
-  EmitPruningBreakdown(*stats);
-}
+// Node budget of PruningCensus: the census walks the reduced tree without a
+// bound, so it is capped well below the optimizer's expansion limit.
+constexpr uint64_t kCensusNodeLimit = 2'000'000;
 
 // Resolves the incumbent seed (a total weighted wait V) for the exact
 // topological-tree search, per options.seed_incumbent. Returns +inf for an
@@ -93,11 +77,7 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
     dt_options.max_steps = options.max_expansions;
     auto search = DataTreeSearch::Create(tree, dt_options);
     if (!search.ok()) return search.status();
-    auto result = search->FindOptimal();
-    // The data-tree search is sequential, so its live per-rule counts are
-    // already deterministic — publish them as the breakdown directly.
-    if (result.ok()) EmitPruningBreakdown(result->stats);
-    return result;
+    return search->FindOptimal();
   }
   TopoTreeSearch::Options topo_options;
   topo_options.num_channels = num_channels;
@@ -107,7 +87,6 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
   topo_options.max_expansions = options.max_expansions;
   auto search = TopoTreeSearch::Create(tree, topo_options);
   if (!search.ok()) return search.status();
-  EmitDeterministicBreakdown(&*search);
   const double seed_cost_v = ResolveSeedCost(tree, num_channels, options);
   Result<AllocationResult> result = search->FindOptimalDfs(
       seed_cost_v, budgeted ? &options.budget : nullptr);
@@ -120,6 +99,19 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
     return SortingHeuristic(tree, num_channels);
   }
   return result;
+}
+
+Result<SearchStats> PruningCensus(const IndexTree& tree, int num_channels,
+                                  const OptimalOptions& options) {
+  // Only the pruning switch shapes the reduced tree: the walk consults no
+  // bound, and its node limit trips long before the default expansion valve.
+  TopoTreeSearch::Options census_options;
+  census_options.num_channels = num_channels;
+  census_options.prune_candidates = options.use_pruning;
+  census_options.prune_local_swap = options.use_pruning;
+  auto search = TopoTreeSearch::Create(tree, census_options);
+  if (!search.ok()) return search.status();
+  return search->ReducedTreeStats(kCensusNodeLimit);
 }
 
 }  // namespace bcast

@@ -74,6 +74,16 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
                                                int num_channels,
                                                const OptimalOptions& options = {});
 
+/// The paper's census of the reduced topological tree (Appendix Steps 2-4,
+/// Figs. 9/10, Table 1): node, candidate and per-rule pruning counts of a
+/// full walk with no bound, incumbent or memo, so a pure function of the
+/// tree, the channel count and options.use_pruning. Not part of planning —
+/// FindOptimalAllocation publishes only its own live search.* counters; pass
+/// the result to EmitPruningBreakdown to publish it as pruning.*. Errors as
+/// TopoTreeSearch::Create does, and RESOURCE_EXHAUSTED past 2,000,000 nodes.
+Result<SearchStats> PruningCensus(const IndexTree& tree, int num_channels,
+                                  const OptimalOptions& options = {});
+
 }  // namespace bcast
 
 #endif  // BCAST_ALLOC_OPTIMAL_H_

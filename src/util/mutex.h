@@ -1,6 +1,6 @@
-// Annotated synchronization primitives: bcast::Mutex, MutexLock and CondVar.
+// Annotated synchronization primitives: bcast::Mutex and MutexLock.
 //
-// Thin wrappers over std::mutex / std::condition_variable that carry the
+// Thin wrappers over std::mutex that carry the
 // Clang Thread Safety Analysis attributes (util/thread_annotations.h), so a
 // `-Wthread-safety` build statically proves the locking discipline of every
 // user. All concurrent library code locks through these types — raw
@@ -8,15 +8,11 @@
 // unannotated type) and should not survive review.
 //
 // Zero-overhead claim: every method is an inline forward to the std
-// primitive; the attributes are compile-time only. CondVar::Wait adopts the
-// caller's already-held Mutex for the duration of the wait and re-adopts it
-// before returning, so the capability bookkeeping matches reality: the lock
-// is held on entry and on exit, exactly as BCAST_REQUIRES declares.
+// primitive; the attributes are compile-time only.
 
 #ifndef BCAST_UTIL_MUTEX_H_
 #define BCAST_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -35,7 +31,6 @@ class BCAST_CAPABILITY("mutex") Mutex {
   bool TryLock() BCAST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -52,43 +47,6 @@ class BCAST_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable bound to bcast::Mutex. Wait() must be called with the
-/// mutex held (enforced by BCAST_REQUIRES); it atomically releases the mutex
-/// while blocked and reacquires it before returning.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// One wakeup-and-recheck cycle. Spurious wakeups happen; prefer the
-  /// predicate overload.
-  void Wait(Mutex* mu) BCAST_REQUIRES(mu) {
-    // Adopt the caller's held lock so std::condition_variable can release
-    // and reacquire it; release() hands ownership back to the caller's
-    // MutexLock without unlocking.
-    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();
-  }
-
-  /// Blocks until `pred()` holds. The predicate is evaluated with the mutex
-  /// held, so it may freely read fields guarded by `mu` — though note that
-  /// the analysis checks a lambda body out of context: predicates over
-  /// BCAST_GUARDED_BY fields belong in a BCAST_REQUIRES helper, while
-  /// predicates over atomics (the common case here) need nothing.
-  template <typename Predicate>
-  void Wait(Mutex* mu, Predicate pred) BCAST_REQUIRES(mu) {
-    while (!pred()) Wait(mu);
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace bcast

@@ -419,9 +419,12 @@ TEST(CliTest, MetricsOutWritesVersionedSnapshot) {
   std::string json((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"bcast_metrics_version\": 1"), std::string::npos);
-  // The deterministic per-rule breakdown and the live engine telemetry both
-  // land in the same snapshot.
-  EXPECT_NE(json.find("\"pruning.property3\": 1"), std::string::npos) << json;
+  // A plan publishes its live search counters; the census (pruning.*) runs
+  // only under `stats`.
+  EXPECT_NE(json.find("\"search.topo_dfs.pruned.property3\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"pruning."), std::string::npos) << json;
   EXPECT_NE(json.find("\"planner.plans\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"command\": \"plan\""), std::string::npos);
   std::remove(path.c_str());
@@ -455,6 +458,32 @@ TEST(CliTest, StatsSubcommandDumpsCounters) {
   EXPECT_NE(out.find("metrics snapshot"), std::string::npos);
   EXPECT_NE(out.find("planner.plans"), std::string::npos);
   EXPECT_NE(out.find("pruning.property3"), std::string::npos);
+}
+
+TEST(CliTest, StatsMarksAnOversizedCensusTruncated) {
+  // 49 nodes (3 x 3 index nodes over 36 leaves): the plan is a quick
+  // heuristic, but the reduced topological tree runs past the census limit.
+  std::string tree = "(r";
+  for (int i = 0; i < 3; ++i) {
+    tree += " (i" + std::to_string(i);
+    for (int j = 0; j < 3; ++j) {
+      tree += " (j" + std::to_string(i) + std::to_string(j);
+      for (int leaf = 0; leaf < 4; ++leaf) {
+        tree += " d" + std::to_string(i) + std::to_string(j) +
+                std::to_string(leaf) + ":" + std::to_string(1 + leaf + j);
+      }
+      tree += ")";
+    }
+    tree += ")";
+  }
+  tree += ")";
+  std::string out;
+  int code = RunCommand({"stats", "--tree", tree, "--channels", "2",
+                         "--strategy", "sorting"},
+                        &out);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("pruning.breakdown_truncated"), std::string::npos) << out;
+  EXPECT_EQ(out.find("pruning.property3"), std::string::npos) << out;
 }
 
 TEST(CliTest, SimulateSnapshotCarriesSeedAndDrawCounts) {

@@ -1,7 +1,7 @@
 // Per-rule pruning counters: exact golden counts on the paper's example
-// tree, the node-conservation invariant of the reduced-tree recount, and the
-// acceptance contract that the deterministic "pruning.*" breakdown published
-// through the metrics registry is identical across thread counts.
+// tree, the node-conservation invariant of the reduced-tree census, the
+// census (PruningCensus) as a pure function of (tree, k, use_pruning), and
+// the contract that installing a registry never changes the work a plan does.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 #include "alloc/optimal.h"
 #include "alloc/topo_search.h"
 #include "obs/obs.h"
+#include "tree/alphabetic.h"
 #include "tree/builders.h"
 #include "util/rng.h"
+#include "workload/weights.h"
 
 namespace bcast {
 namespace {
@@ -116,56 +118,96 @@ std::map<std::string, uint64_t> PruningCounters(
   return pruning;
 }
 
+// Publishes `census` into a fresh registry and returns its pruning.* view.
+std::map<std::string, uint64_t> PublishedCensus(const SearchStats& census) {
+  obs::Registry registry;
+  {
+    obs::ScopedObservability scope(&registry, nullptr);
+    EmitPruningBreakdown(census);
+  }
+  return PruningCounters(registry.Snapshot());
+}
+
 TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
-  // Acceptance criterion: the published pruning.* counters are a pure
-  // function of (tree, options). A second run that changes num_threads and
-  // drops the incumbent seed — which moves the live search.* counters —
-  // must publish a byte-identical breakdown.
+  // The published census is a pure function of (tree, k, use_pruning):
+  // options that move the live search.* counters — num_threads, the
+  // incumbent seed — must leave it byte-identical.
   for (uint64_t seed = 0; seed < 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 0x9E3779B9u + 1);
     IndexTree tree = MakeRandomTree(&rng, 4 + static_cast<int>(seed % 4),
                                     2 + static_cast<int>(seed % 2));
     const int k = 2 + static_cast<int>(seed % 2);
-    // Corollary 1 instances never search (and so publish no breakdown).
-    if (k >= tree.max_level_width()) continue;
 
-    auto breakdown = [&](const OptimalOptions& options) {
-      obs::Registry registry;
-      {
-        obs::ScopedObservability scope(&registry, nullptr);
-        auto result = FindOptimalAllocation(tree, k, options);
-        EXPECT_TRUE(result.ok()) << result.status().ToString();
-      }
-      return PruningCounters(registry.Snapshot());
-    };
-    const std::map<std::string, uint64_t> reference =
-        breakdown(OptimalOptions{});
+    auto census = PruningCensus(tree, k, OptimalOptions{});
+    ASSERT_TRUE(census.ok()) << census.status().ToString();
+    const std::map<std::string, uint64_t> reference = PublishedCensus(*census);
     ASSERT_FALSE(reference.empty());
     EXPECT_EQ(reference.count("pruning.breakdown_truncated"), 0u);
     OptimalOptions other;
     other.num_threads = 8;
     other.seed_incumbent = OptimalOptions::SeedIncumbent::kNone;
-    EXPECT_EQ(breakdown(other), reference);
+    auto other_census = PruningCensus(tree, k, other);
+    ASSERT_TRUE(other_census.ok()) << other_census.status().ToString();
+    EXPECT_EQ(PublishedCensus(*other_census), reference);
   }
 }
 
 TEST(PruningCountersTest, PaperExampleBreakdownThroughTheFacade) {
-  // End to end through FindOptimalAllocation: the registry must carry the
-  // same golden counts as the direct ReducedTreeStats call above.
-  IndexTree tree = MakePaperExampleTree();
-  obs::Registry registry;
-  {
-    obs::ScopedObservability scope(&registry, nullptr);
-    auto result = FindOptimalAllocation(tree, 2, OptimalOptions{});
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The census call publishes the same golden counts as the direct
+  // ReducedTreeStats call above (Fig. 10).
+  auto census = PruningCensus(MakePaperExampleTree(), 2);
+  ASSERT_TRUE(census.ok()) << census.status().ToString();
+  const std::map<std::string, uint64_t> published = PublishedCensus(*census);
+  EXPECT_EQ(published.at("pruning.reduced_tree_nodes"), 8u);
+  EXPECT_EQ(published.at("pruning.generated"), 7u);
+  EXPECT_EQ(published.at("pruning.property3"), 1u);
+  EXPECT_EQ(published.at("pruning.property2"), 0u);
+  EXPECT_EQ(published.at("pruning.lemma4"), 0u);
+}
+
+TEST(PruningCountersTest, CensusPastItsNodeLimitIsResourceExhausted) {
+  // 20 data leaves under a fanout-2 random tree: the unpruned topological
+  // tree runs far past the census's 2M-node limit.
+  Rng rng(7);
+  IndexTree tree = MakeRandomTree(&rng, 20, 2);
+  OptimalOptions unpruned;
+  unpruned.use_pruning = false;
+  auto census = PruningCensus(tree, 2, unpruned);
+  ASSERT_FALSE(census.ok());
+  EXPECT_EQ(census.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(PruningCountersTest, RegistryDoesNotChangeThePlansWork) {
+  // A serving-loop-shaped instance: 18 Zipf(0.9) items, greedy alphabetic
+  // index of fanout 3, two channels. Installing a registry must not change
+  // the plan or the work the search does, and the facade publishes only the
+  // live search.* counters — the census is never run as a side effect.
+  std::vector<double> weights = ZipfWeights(18, 0.9);
+  std::vector<DataItem> items;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    items.push_back({"item" + std::to_string(i), weights[i]});
   }
+  auto tree = BuildGreedyAlphabeticTree(items, 3);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_LT(2, tree->max_level_width());  // the exact search runs
+
+  auto plain = FindOptimalAllocation(*tree, 2);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  obs::Registry registry;
+  auto observed = [&] {
+    obs::ScopedObservability scope(&registry, nullptr);
+    return FindOptimalAllocation(*tree, 2);
+  }();
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  EXPECT_EQ(observed->slots, plain->slots);
+  EXPECT_EQ(observed->average_data_wait, plain->average_data_wait);
+  EXPECT_EQ(observed->stats.nodes_expanded, plain->stats.nodes_expanded);
+
   obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr("pruning.reduced_tree_nodes", 0), 8u);
-  EXPECT_EQ(snapshot.CounterOr("pruning.generated", 0), 7u);
-  EXPECT_EQ(snapshot.CounterOr("pruning.property3", 0), 1u);
-  EXPECT_EQ(snapshot.CounterOr("pruning.property2", 999), 0u);
-  EXPECT_EQ(snapshot.CounterOr("pruning.lemma4", 999), 0u);
+  EXPECT_EQ(snapshot.CounterOr("search.topo_dfs.nodes_expanded", 0),
+            plain->stats.nodes_expanded);
+  EXPECT_TRUE(PruningCounters(snapshot).empty());
 }
 
 TEST(PruningCountersTest, LevelAllocationCountsCorollary1) {

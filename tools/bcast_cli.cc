@@ -72,7 +72,8 @@ constexpr char kUsage[] =
     "  bcastctl eval --program <path> [--simulate N]\n"
     "  bcastctl verify --program <path>\n"
     "  bcastctl info --tree <s-expr>|--tree-file <path>\n"
-    "  bcastctl stats <plan flags>   # plan, then dump collected metrics\n"
+    "  bcastctl stats <plan flags>   # plan, then dump collected metrics and\n"
+    "                              # the pruning census (pruning.*)\n"
     "  bcastctl top --replay <file.jsonl> [--window N]\n"
     "                # render a telemetry stream as a dashboard: per-series\n"
     "                # sparklines, SLO burn/budget bars, degradation rungs\n"
@@ -365,6 +366,27 @@ Status CmdPlan(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
     if (!file) return InternalError("cannot write '" + *save + "'");
     file << *program;
     *os << "saved program to " << *save << "\n";
+  }
+  return Status::Ok();
+}
+
+// `stats` is `plan` plus the paper's census of the reduced topological tree
+// (PruningCensus), published as pruning.* beside the plan's live search.*
+// counters. A census past its node limit sets pruning.breakdown_truncated; a
+// tree the topological search cannot hold (over 64 nodes) gets no census.
+Status CmdStats(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
+  BCAST_RETURN_IF_ERROR(CmdPlan(flags, os, degraded));
+  auto tree = LoadTree(flags);
+  if (!tree.ok()) return tree.status();
+  auto channels = flags.GetInt("channels", 1);
+  if (!channels.ok()) return channels.status();
+  auto census = PruningCensus(*tree, *channels);
+  if (census.ok()) {
+    EmitPruningBreakdown(*census);
+  } else if (census.status().code() == StatusCode::kResourceExhausted) {
+    obs::GetCounter("pruning.breakdown_truncated").Increment();
+  } else {
+    *os << "pruning census    : none (" << census.status().message() << ")\n";
   }
   return Status::Ok();
 }
@@ -1253,9 +1275,9 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
   } else if (args[0] == "info") {
     status = CmdInfo(*flags, &os);
   } else if (args[0] == "stats") {
-    // `stats` is `plan` with the registry always on and a human-readable
-    // metrics dump appended — the quickest way to see the counters.
-    status = CmdPlan(*flags, &os, &degraded);
+    // `stats` runs with the registry always on and appends a human-readable
+    // metrics dump — the quickest way to see the counters.
+    status = CmdStats(*flags, &os, &degraded);
     if (status.ok()) os << obs::FormatMetricsHuman(registry->Snapshot());
   } else {
     os << "unknown command '" << args[0] << "'\n" << kUsage;
