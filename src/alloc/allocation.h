@@ -68,9 +68,9 @@ struct SearchStats {
   // other searches; see TranspositionMemo in alloc/topo_search.h): hits are
   // states skipped as dominated, inserts are states recorded, dominated are
   // weaker entries replaced in place, evictions are states left unrecorded
-  // at the entry cap (re-expanded, never wrong). cas_retries is always 0; it
-  // is kept only because the benchmark in perfbench/ still reads it, and
-  // goes when that benchmark is next re-cut.
+  // at the entry cap (re-expanded, never wrong). cas_retries is always 0 and
+  // is not published to the registry; it is kept only because the benchmark
+  // in perfbench/ still reads it, and goes when that benchmark is next re-cut.
   uint64_t store_hits = 0;
   uint64_t store_inserts = 0;
   uint64_t store_dominated = 0;

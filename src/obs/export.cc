@@ -176,13 +176,6 @@ std::string FormatMetricsJson(const MetricsSnapshot& snapshot) {
     w.UInt(value);
   }
   w.EndObject();
-  w.Key("gauges");
-  w.BeginObject();
-  for (const auto& [name, value] : snapshot.gauges) {
-    w.Key(name);
-    w.Int(value);
-  }
-  w.EndObject();
   w.Key("histograms");
   w.BeginArray();
   for (const HistogramSnapshot& hist : snapshot.histograms) {
@@ -274,12 +267,6 @@ std::string FormatMetricsHuman(const MetricsSnapshot& snapshot) {
   if (!snapshot.counters.empty()) {
     out << "counters:\n";
     for (const auto& [name, value] : snapshot.counters) {
-      out << "  " << name << " = " << value << "\n";
-    }
-  }
-  if (!snapshot.gauges.empty()) {
-    out << "gauges:\n";
-    for (const auto& [name, value] : snapshot.gauges) {
       out << "  " << name << " = " << value << "\n";
     }
   }

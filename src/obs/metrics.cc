@@ -1,23 +1,10 @@
 #include "obs/metrics.h"
 
 #include "obs/clock.h"
-#include "util/check.h"
 
 namespace bcast::obs {
 
 namespace {
-
-// One-entry thread-local shard cache. A thread alternating between two live
-// registries re-registers a shard on each switch (correct — aggregation sums
-// all shards — just slightly wasteful); the common case of one registry per
-// run hits the cache every time after the first increment.
-struct ShardCache {
-  uint64_t uid = 0;
-  void* shard = nullptr;
-};
-thread_local ShardCache tls_shard_cache;
-
-std::atomic<uint64_t> next_registry_uid{1};
 
 void LowerMin(std::atomic<uint64_t>& cell, uint64_t value) {
   uint64_t observed = cell.load(std::memory_order_relaxed);
@@ -37,57 +24,16 @@ void RaiseMax(std::atomic<uint64_t>& cell, uint64_t value) {
 
 }  // namespace
 
-struct alignas(64) Registry::Shard {
-  std::array<std::atomic<uint64_t>, Registry::kMaxCounters> cells{};
-};
-
-Registry::Registry()
-    : uid_(next_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
-
-Registry::~Registry() = default;
-
-void Counter::Add(uint64_t n) const {
-  if (registry_ == nullptr || n == 0) return;
-  registry_->AddToCounter(index_, n);
-}
-
-void Registry::AddToCounter(uint32_t index, uint64_t n) {
-  CurrentShard()->cells[index].fetch_add(n, std::memory_order_relaxed);
-}
-
-Registry::Shard* Registry::CurrentShard() {
-  if (tls_shard_cache.uid == uid_) {
-    return static_cast<Shard*>(tls_shard_cache.shard);
-  }
-  MutexLock lock(&mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  tls_shard_cache = {uid_, shard};
-  return shard;
-}
-
 Counter Registry::GetCounter(std::string_view name) {
   MutexLock lock(&mutex_);
-  auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return Counter(this, it->second);
-  BCAST_CHECK(counter_names_.size() < kMaxCounters)
-      << "metrics registry is out of counter cells (" << kMaxCounters << ")";
-  uint32_t index = static_cast<uint32_t>(counter_names_.size());
-  counter_names_.emplace_back(name);
-  counter_index_.emplace(std::string(name), index);
-  return Counter(this, index);
-}
-
-Gauge Registry::GetGauge(std::string_view name) {
-  MutexLock lock(&mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
+  auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    it = counters_
              .emplace(std::string(name),
-                      std::make_unique<std::atomic<int64_t>>(0))
+                      std::make_unique<std::atomic<uint64_t>>(0))
              .first;
   }
-  return Gauge(it->second.get());
+  return Counter(it->second.get());
 }
 
 Histogram Registry::GetHistogram(std::string_view name) {
@@ -133,15 +79,8 @@ MetricsSnapshot Registry::Snapshot() const {
   MetricsSnapshot snapshot;
   snapshot.version = kMetricsSchemaVersion;
   MutexLock lock(&mutex_);
-  for (size_t index = 0; index < counter_names_.size(); ++index) {
-    uint64_t total = 0;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      total += shard->cells[index].load(std::memory_order_relaxed);
-    }
-    snapshot.counters[counter_names_[index]] = total;
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snapshot.gauges[name] = cell->load(std::memory_order_relaxed);
+  for (const auto& [name, cell] : counters_) {
+    snapshot.counters[name] = cell->load(std::memory_order_relaxed);
   }
   for (const auto& [name, cells] : histograms_) {
     HistogramSnapshot hist;

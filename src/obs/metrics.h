@@ -1,25 +1,21 @@
-// Low-overhead metrics registry: monotonic counters, gauges, log2-bucket
-// histograms with streaming quantile estimates, and RAII scoped timers.
+// Low-overhead metrics registry: monotonic counters, log2-bucket histograms
+// with streaming quantile estimates, and RAII scoped timers.
 //
 // Design for concurrent writers (PlanMany, popsim shards):
-//  * Counters are *thread-sharded*: each thread that touches a registry gets
-//    a private cache-line-aligned shard of atomic cells, so hot-path
-//    increments are uncontended relaxed adds with no false sharing. Nothing
-//    is aggregated on the write path — Snapshot() does the explicit
-//    cross-shard summation, which is the only place totals exist.
-//  * Gauges and histograms are single atomic cells with relaxed ops (their
-//    call sites are orders of magnitude colder than counter increments).
-//  * Every handle type (Counter/Gauge/Histogram) is a trivially copyable
-//    value that is *null by default*: operations on a null handle are no-ops,
-//    so instrumented code pays one branch when the registry is disabled.
+//  * Every metric is one set of atomic cells under its name, written with
+//    relaxed ops. A counter is a single cell; a histogram is its buckets plus
+//    count/sum/min/max. Snapshot() reads the cells under the registry mutex.
+//  * Call sites resolve a handle by name (one map lookup under the mutex)
+//    and write a few times; a loop that records many values fills a local
+//    HistogramBatch and merges it once, so no cell is contended per value.
+//  * Every handle type (Counter/Histogram) is a trivially copyable value that
+//    is *null by default*: operations on a null handle are no-ops, so
+//    instrumented code pays one branch when the registry is disabled.
 //    This is the "null sink" contract — with no registry installed the
 //    instrumented binaries produce bit-identical outputs to uninstrumented
 //    ones, because metrics never feed back into any algorithm decision.
 //
-// Lifetime: handles borrow the registry; they must not outlive it. The
-// thread-local shard cache is keyed by a process-unique registry id, so a
-// destroyed registry's cache entries are never dereferenced (a new registry
-// gets a fresh id and fresh shards).
+// Lifetime: handles borrow the registry's cells; they must not outlive it.
 
 #ifndef BCAST_OBS_METRICS_H_
 #define BCAST_OBS_METRICS_H_
@@ -38,8 +34,6 @@
 #include "util/thread_annotations.h"
 
 namespace bcast::obs {
-
-class Registry;
 
 namespace internal {
 
@@ -61,34 +55,16 @@ struct HistogramCells {
 class Counter {
  public:
   Counter() = default;
-  void Add(uint64_t n) const;
+  void Add(uint64_t n) const {
+    if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
+  }
   void Increment() const { Add(1); }
-  explicit operator bool() const { return registry_ != nullptr; }
-
- private:
-  friend class Registry;
-  Counter(Registry* registry, uint32_t index)
-      : registry_(registry), index_(index) {}
-  Registry* registry_ = nullptr;
-  uint32_t index_ = 0;
-};
-
-/// Last-write-wins signed gauge handle.
-class Gauge {
- public:
-  Gauge() = default;
-  void Set(int64_t value) const {
-    if (cell_ != nullptr) cell_->store(value, std::memory_order_relaxed);
-  }
-  void Add(int64_t delta) const {
-    if (cell_ != nullptr) cell_->fetch_add(delta, std::memory_order_relaxed);
-  }
   explicit operator bool() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Gauge(std::atomic<int64_t>* cell) : cell_(cell) {}
-  std::atomic<int64_t>* cell_ = nullptr;
+  explicit Counter(std::atomic<uint64_t>* cell) : cell_(cell) {}
+  std::atomic<uint64_t>* cell_ = nullptr;
 };
 
 /// Values counted locally by one thread for a later Histogram::Merge: the
@@ -164,59 +140,38 @@ struct HistogramSnapshot {
 struct MetricsSnapshot {
   int version = 0;
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
   std::vector<HistogramSnapshot> histograms;
   std::map<std::string, std::string> meta;
 
   uint64_t CounterOr(std::string_view name, uint64_t fallback) const;
 };
 
-inline constexpr int kMetricsSchemaVersion = 1;
+inline constexpr int kMetricsSchemaVersion = 2;
 
 class Registry {
  public:
-  /// Counter-cell capacity per shard. Creating more distinct counters than
-  /// this check-fails — the instrument surface is a fixed, known set.
-  static constexpr size_t kMaxCounters = 256;
-
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Find-or-create by name. Handles stay valid for the registry's lifetime
   /// and may be used concurrently from any thread.
   Counter GetCounter(std::string_view name);
-  Gauge GetGauge(std::string_view name);
   Histogram GetHistogram(std::string_view name);
 
   /// Free-form key/value attached to snapshots (command line, seed, ...).
   void SetMeta(std::string_view key, std::string_view value);
 
-  /// Explicit aggregation: sums every thread shard. Concurrent writers are
-  /// not quiesced — call after the instrumented work joined for exact totals.
+  /// Reads every cell. Concurrent writers are not quiesced — call after the
+  /// instrumented work joined for exact totals.
   MetricsSnapshot Snapshot() const;
 
  private:
-  friend class Counter;
-
-  struct Shard;
-
-  void AddToCounter(uint32_t index, uint64_t n);
-  Shard* CurrentShard();
-
-  const uint64_t uid_;  // process-unique; keys the thread-local shard cache
-  // One registration lock guards every name table and the shard list; the
-  // cells the returned handles point at are atomics, so the hot write path
-  // (Counter::Add via the thread-local shard cache) never takes it.
+  // One registration lock guards every name table; the cells the returned
+  // handles point at are atomics, so the write path never takes it.
   mutable Mutex mutex_;
-  // index -> name
-  std::vector<std::string> counter_names_ BCAST_GUARDED_BY(mutex_);
-  std::map<std::string, uint32_t, std::less<>> counter_index_
-      BCAST_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Shard>> shards_ BCAST_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<std::atomic<int64_t>>, std::less<>>
-      gauges_ BCAST_GUARDED_BY(mutex_);
+  std::map<std::string, std::unique_ptr<std::atomic<uint64_t>>, std::less<>>
+      counters_ BCAST_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<internal::HistogramCells>, std::less<>>
       histograms_ BCAST_GUARDED_BY(mutex_);
   std::map<std::string, std::string, std::less<>> meta_

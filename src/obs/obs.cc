@@ -26,11 +26,6 @@ Counter GetCounter(std::string_view name) {
   return registry == nullptr ? Counter() : registry->GetCounter(name);
 }
 
-Gauge GetGauge(std::string_view name) {
-  Registry* registry = GlobalMetrics();
-  return registry == nullptr ? Gauge() : registry->GetGauge(name);
-}
-
 Histogram GetHistogram(std::string_view name) {
   Registry* registry = GlobalMetrics();
   return registry == nullptr ? Histogram() : registry->GetHistogram(name);

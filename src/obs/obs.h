@@ -1,7 +1,7 @@
 // Umbrella header and global install points for the observability layer.
 //
 // Instrumented code never owns a registry: it calls the free functions below
-// (GetCounter / GetGauge / GetHistogram / SetMeta / ScopedSpan), which route
+// (GetCounter / GetHistogram / SetMeta / ScopedSpan), which route
 // to whatever Registry / TraceRecorder the embedder installed — and return
 // null handles when nothing is installed, making every instrumentation site
 // a cheap no-op by default. bcastctl and the benches install concrete
@@ -29,7 +29,6 @@ bool MetricsEnabled();
 /// Convenience accessors against the global registry; all return null
 /// handles / no-op when no registry is installed.
 Counter GetCounter(std::string_view name);
-Gauge GetGauge(std::string_view name);
 Histogram GetHistogram(std::string_view name);
 void SetMeta(std::string_view key, std::string_view value);
 

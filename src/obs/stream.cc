@@ -1,5 +1,6 @@
 #include "obs/stream.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -583,14 +584,14 @@ void JsonlFileSink::Emit(const TelemetryRecord& record) {
 
 void JsonlFileSink::FlushBuffer() {
   if (buffer_.empty() || file_ == nullptr) return;
-  if (!error_.ok()) {
-    buffer_.clear();
-    return;
-  }
   const size_t written =
       std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
   if (written != buffer_.size() || std::fflush(file_) != 0) {
     error_ = InternalError("short write to " + path_);
+    // None of the buffered records is known to have landed: count them all
+    // (one per line) with the ones a poisoned Emit drops later.
+    dropped_ += static_cast<uint64_t>(
+        std::count(buffer_.begin(), buffer_.end(), '\n'));
   }
   buffer_.clear();
 }

@@ -13,10 +13,11 @@
 //
 // Sink contract: Emit() never blocks a hot path — the JSONL sink buffers in
 // memory and writes only when the buffer crosses its high-water mark (or on
-// Flush). A failed write poisons the sink: later records are counted as
-// dropped instead of blocking or aborting the run, and the first error is
-// reported by Flush()/TelemetryPipeline::Finish(). Telemetry is observation,
-// not output — losing it must never change or kill the run it watches.
+// Flush). A failed write poisons the sink: the records it held and every
+// later one are counted as dropped instead of blocking or aborting the run,
+// and the first error is reported by Flush()/TelemetryPipeline::Finish().
+// Telemetry is observation, not output — losing it must never change or kill
+// the run it watches.
 //
 // Determinism: ticks are keyed by cycle/slot/shard ordinals, never wall
 // clock, and the pipeline only *reads* metrics. Outcome digests are

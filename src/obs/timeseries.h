@@ -13,7 +13,7 @@
 //
 // None of this is thread-safe: series and snapshotters live on the control
 // path (the per-cycle loop, the post-join merge pass), never inside a hot
-// loop. The hot paths keep writing their sharded atomic counters; the only
+// loop. The hot paths keep writing the registry's atomic cells; the only
 // cross-thread interaction is Registry::Snapshot(), which is already safe.
 
 #ifndef BCAST_OBS_TIMESERIES_H_

@@ -418,7 +418,8 @@ TEST(CliTest, MetricsOutWritesVersionedSnapshot) {
   ASSERT_TRUE(in.good());
   std::string json((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"bcast_metrics_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"bcast_metrics_version\": 2"), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos) << json;
   // A plan publishes its live search counters; the census (pruning.*) runs
   // only under `stats`.
   EXPECT_NE(json.find("\"search.topo_dfs.pruned.property3\""),
@@ -500,7 +501,10 @@ TEST(CliTest, SimulateSnapshotCarriesSeedAndDrawCounts) {
   ASSERT_TRUE(in.good());
   std::string json((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"seed\": \"99\""), std::string::npos);
+  // The seed travels as meta only (schema version 2 has no gauges).
+  EXPECT_NE(json.find("\"seed\": \"99\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("run.seed"), std::string::npos) << json;
   // One sampler draw + one arrival draw per query on this lossless run;
   // the tree substream is registered even when unused.
   EXPECT_NE(json.find("\"rng.draws.query\": 1000"), std::string::npos);

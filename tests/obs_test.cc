@@ -1,4 +1,4 @@
-// The observability layer itself: null-sink contract, counter sharding under
+// The observability layer itself: null-sink contract, counters under
 // concurrency, histogram bucketing, snapshot aggregation, JSON/trace export,
 // and the scoped global install/restore.
 
@@ -37,10 +37,6 @@ TEST(ObsTest, NullHandlesAreSafeNoOps) {
   counter.Increment();
   counter.Add(17);
   EXPECT_FALSE(static_cast<bool>(counter));
-  Gauge gauge;
-  gauge.Set(5);
-  gauge.Add(-2);
-  EXPECT_FALSE(static_cast<bool>(gauge));
   Histogram histogram;
   histogram.Record(123);
   EXPECT_FALSE(static_cast<bool>(histogram));
@@ -48,7 +44,6 @@ TEST(ObsTest, NullHandlesAreSafeNoOps) {
   ASSERT_EQ(GlobalMetrics(), nullptr);
   EXPECT_FALSE(MetricsEnabled());
   GetCounter("x").Increment();
-  GetGauge("x").Set(1);
   GetHistogram("x").Record(1);
   SetMeta("k", "v");
   { ScopedSpan span("no recorder installed"); }
@@ -83,8 +78,9 @@ TEST(ObsTest, CountersSumAcrossThreads) {
 }
 
 TEST(ObsTest, TwoRegistriesDoNotShareShards) {
-  // The thread-local shard cache is keyed by registry uid; interleaving two
-  // registries on one thread must route every Add to the right one.
+  // Each registry owns its cells: the same name in two registries is two
+  // counters, and interleaving them on one thread routes every Add to the
+  // registry that handed out the handle.
   Registry first;
   Registry second;
   for (int i = 0; i < 100; ++i) {
@@ -95,11 +91,18 @@ TEST(ObsTest, TwoRegistriesDoNotShareShards) {
   EXPECT_EQ(second.Snapshot().counters.at("n"), 200u);
 }
 
-TEST(ObsTest, GaugeKeepsLastValue) {
+TEST(ObsTest, RegistryHoldsMoreThan256Counters) {
+  // Counters are stored by name, with no fixed table of cells to run out of.
   Registry registry;
-  registry.GetGauge("g").Set(10);
-  registry.GetGauge("g").Add(-3);
-  EXPECT_EQ(registry.Snapshot().gauges.at("g"), 7);
+  constexpr uint64_t kCounters = 1000;
+  for (uint64_t i = 0; i < kCounters; ++i) {
+    registry.GetCounter("c." + std::to_string(i)).Add(i + 1);
+  }
+  MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.counters.size(), kCounters);
+  for (uint64_t i = 0; i < kCounters; ++i) {
+    EXPECT_EQ(snapshot.CounterOr("c." + std::to_string(i), 0), i + 1);
+  }
 }
 
 TEST(ObsTest, HistogramBucketsAndQuantiles) {
@@ -199,12 +202,11 @@ TEST(ObsTest, MetricsJsonIsVersionedAndEscaped) {
   Registry registry;
   registry.SetMeta("args", "--tree \"x\"\n");
   registry.GetCounter("c.one").Add(5);
-  registry.GetGauge("g").Set(-3);
   registry.GetHistogram("h").Record(9);
   std::string json = FormatMetricsJson(registry.Snapshot());
-  EXPECT_NE(json.find("\"bcast_metrics_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"bcast_metrics_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"c.one\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"g\": -3"), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos) << json;
   EXPECT_NE(json.find("\\\"x\\\"\\n"), std::string::npos)  // escaped meta
       << json;
 }

@@ -327,6 +327,26 @@ TEST(JsonlFileSinkTest, SmallHighWaterMarkStillLosesNothing) {
   std::remove(path.c_str());
 }
 
+TEST(JsonlFileSinkTest, FailedWriteCountsEveryLostRecord) {
+  // /dev/full accepts the open and fails every flush: whether the records
+  // sat in the buffer (default high-water mark) or went out one by one
+  // (1 byte), each of the ten is lost and counted.
+  for (size_t max_buffered_bytes : {size_t{1}, size_t{1} << 20}) {
+    SCOPED_TRACE(max_buffered_bytes);
+    auto sink = JsonlFileSink::Open("/dev/full", max_buffered_bytes);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    TelemetryRecord tick;
+    tick.type = TelemetryRecord::Type::kTick;
+    for (uint64_t i = 0; i < 10; ++i) {
+      tick.index = i;
+      tick.values["x"] = 1.0;
+      sink->Emit(tick);
+    }
+    EXPECT_FALSE(sink->Flush().ok());
+    EXPECT_EQ(sink->dropped(), 10u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline end to end (MemorySink).
 // ---------------------------------------------------------------------------

@@ -557,7 +557,6 @@ Status CmdSimulateAdaptive(const FlagMap& flags, std::ostringstream* os,
 
   if (obs::MetricsEnabled()) {
     obs::SetMeta("seed", std::to_string(*seed));
-    obs::GetGauge("run.seed").Set(*seed);
   }
   Rng rng(static_cast<uint64_t>(*seed));
   auto report = RunAdaptiveServer(std::move(weights), drift, &rng, options);
@@ -693,7 +692,6 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
     // Run() emits the query and fault streams; the tree stream is registered
     // here so the snapshot always carries all three.
     obs::SetMeta("seed", std::to_string(*seed));
-    obs::GetGauge("run.seed").Set(*seed);
     obs::GetCounter("rng.draws.tree").Add(0);
   }
   Rng rng(static_cast<uint64_t>(*seed));
@@ -872,7 +870,6 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
 
   if (obs::MetricsEnabled()) {
     obs::SetMeta("seed", std::to_string(*seed));
-    obs::GetGauge("run.seed").Set(*seed);
     obs::GetCounter("rng.draws.tree").Add(0);
   }
   std::optional<obs::TelemetryPipeline> pipeline;
