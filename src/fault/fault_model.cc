@@ -87,6 +87,9 @@ FaultModel::FaultModel(std::vector<ChannelLossSpec> per_channel)
     : per_channel_(std::move(per_channel)) {
   for (const ChannelLossSpec& spec : per_channel_) {
     if (spec.active()) active_ = true;
+    if (spec.kind == LossModelKind::kGilbertElliott) {
+      has_gilbert_elliott_ = true;
+    }
   }
 }
 
@@ -119,7 +122,9 @@ const ChannelLossSpec& FaultModel::channel(int channel) const {
 
 FaultProcess::FaultProcess(const FaultModel& model, Rng* rng)
     : model_(model), rng_(rng) {
-  states_.resize(static_cast<size_t>(model.num_channels()));
+  if (model.has_gilbert_elliott()) {
+    states_.resize(static_cast<size_t>(model.num_channels()));
+  }
 }
 
 BucketOutcome FaultProcess::Observe(int channel, int64_t slot) {

@@ -93,6 +93,10 @@ class FaultModel {
   /// True iff any channel can fault. Inactive models make zero Rng draws.
   bool active() const { return active_; }
 
+  /// True iff any channel is a Gilbert–Elliott chain, the only kind whose
+  /// state a FaultProcess carries from one observation to the next.
+  bool has_gilbert_elliott() const { return has_gilbert_elliott_; }
+
   int num_channels() const { return static_cast<int>(per_channel_.size()); }
 
   /// Spec of `channel`; channels beyond the configured range are lossless
@@ -104,6 +108,7 @@ class FaultModel {
 
   std::vector<ChannelLossSpec> per_channel_;
   bool active_ = false;
+  bool has_gilbert_elliott_ = false;
 };
 
 /// What the client got out of one listened slot.
@@ -142,7 +147,8 @@ class FaultProcess {
   // conventions): a FaultProcess is owned by one simulated client and its
   // lazily realized per-channel states are only ever touched from that
   // client's Observe() calls — there is no lock whose capability could
-  // guard them.
+  // guard them. Empty unless the model has a Gilbert–Elliott channel, so a
+  // memoryless medium costs no allocation per client.
   std::vector<ChannelState> states_;
 };
 

@@ -23,6 +23,14 @@ namespace {
 // machines.
 constexpr uint64_t kClientsPerShard = 4096;
 
+// A shard runs its clients in blocks of this many, so that Rng::PrepareDraws
+// seeds the block's generators side by side (util/rng.h).
+constexpr uint64_t kSeedBlock = 8;
+
+// Fault draws a faulty client's generator is seeded for before its access:
+// about the mean on popsim_fleet's medium (13.4). Later draws seed on demand.
+constexpr uint64_t kFaultDrawsAhead = 16;
+
 uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
 
 }  // namespace
@@ -64,41 +72,68 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
                                    const Rng& base, bool record_histograms,
                                    ClientOutcome* fleet,
                                    ShardStats* stats) const {
+  // The workload draws DrawClient makes: target, arrival, maybe a doze.
+  const uint64_t query_draws = options.population.doze_fraction > 0.0 ? 3 : 2;
+  // Every slot is assigned a client's keyed substream (or its kFault fork)
+  // before anything draws from it.
+  // bcast-lint: allow(rng-substreams)
+  Rng client_rngs[kSeedBlock];
+  // bcast-lint: allow(rng-substreams)
+  Rng fault_rngs[kSeedBlock];
+  PopulationSampler::ClientDraw draws[kSeedBlock];
+  // The medium each client listens through; null when it cannot fault.
+  const FaultModel* media[kSeedBlock];
   int64_t first_slot = std::numeric_limits<int64_t>::max();
   int64_t last_observed = std::numeric_limits<int64_t>::min();
-  for (uint64_t id = begin; id < end; ++id) {
-    Rng client_rng = base.Substream(RngStream::kClient, id);
-    PopulationSampler::ClientDraw draw =
-        sampler.DrawClient(id, &client_rng, sim_.cycle_length());
-    stats->sim.rng_query_draws += client_rng.draw_count();
-    // The same streams a ClientSimulator::Run query under client_rng would
-    // use; a client whose model is inactive makes no fault draws at all.
-    const FaultModel& faults =
-        draw.degraded ? options.degraded_faults : options.faults;
-    ClientOutcome& out = fleet[id];
-    if (faults.active()) {
-      Rng fault_rng = client_rng.Substream(RngStream::kFault);
-      FaultProcess medium(faults, &fault_rng);
-      out = sim_.AccessOnce(draw.target, draw.arrival, &medium,
-                            options.recovery, &stats->sim);
-      stats->sim.rng_fault_draws += fault_rng.draw_count();
-    } else {
-      out = sim_.AccessOnce(draw.target, draw.arrival, nullptr,
-                            options.recovery, &stats->sim);
+  for (uint64_t block = begin; block < end; block += kSeedBlock) {
+    const size_t width = static_cast<size_t>(std::min(kSeedBlock, end - block));
+    for (size_t i = 0; i < width; ++i) {
+      client_rngs[i] = base.Substream(RngStream::kClient, block + i);
     }
-    if (out.success) {
-      ++stats->succeeded;
-      stats->data_wait_sum += out.data_wait;
-      if (record_histograms) {
-        stats->data_wait_slots.Record(static_cast<uint64_t>(out.data_wait));
-        stats->tuning_slots.Record(out.tuning);
+    Rng::PrepareDraws({client_rngs, width}, query_draws);
+    // The same streams a ClientSimulator::Run query under client_rngs[i]
+    // would use; a client whose model is inactive makes no fault draws.
+    size_t faulty = 0;
+    for (size_t i = 0; i < width; ++i) {
+      draws[i] = sampler.DrawClient(block + i, &client_rngs[i],
+                                    sim_.cycle_length());
+      stats->sim.rng_query_draws += client_rngs[i].draw_count();
+      const FaultModel& faults =
+          draws[i].degraded ? options.degraded_faults : options.faults;
+      media[i] = faults.active() ? &faults : nullptr;
+      if (media[i] != nullptr) {
+        fault_rngs[faulty++] = client_rngs[i].Substream(RngStream::kFault);
       }
     }
-    first_slot = std::min(first_slot, static_cast<int64_t>(draw.arrival));
-    last_observed = std::max(last_observed, out.last_slot);
-    // A success finishes after its last read; a failure ends at it.
-    stats->last_slot =
-        std::max(stats->last_slot, out.last_slot + (out.success ? 1 : 0));
+    Rng::PrepareDraws({fault_rngs, faulty}, kFaultDrawsAhead);
+    faulty = 0;
+    for (size_t i = 0; i < width; ++i) {
+      const PopulationSampler::ClientDraw& draw = draws[i];
+      ClientOutcome& out = fleet[block + i];
+      if (media[i] != nullptr) {
+        Rng& fault_rng = fault_rngs[faulty++];
+        FaultProcess medium(*media[i], &fault_rng);
+        out = sim_.AccessOnce(draw.target, draw.arrival, &medium,
+                              options.recovery, &stats->sim);
+        stats->sim.rng_fault_draws += fault_rng.draw_count();
+      } else {
+        out = sim_.AccessOnce(draw.target, draw.arrival, nullptr,
+                              options.recovery, &stats->sim);
+      }
+      if (out.success) {
+        ++stats->succeeded;
+        stats->data_wait_sum += out.data_wait;
+        if (record_histograms) {
+          stats->data_wait_slots.Record(static_cast<uint64_t>(out.data_wait));
+          stats->tuning_slots.Record(out.tuning);
+        }
+      }
+      first_slot = std::min(first_slot, static_cast<int64_t>(draw.arrival));
+      last_observed = std::max(last_observed, out.last_slot);
+      // A success finishes after its last read; a failure ends at it.
+      stats->last_slot =
+          std::max(stats->last_slot, out.last_slot + (out.success ? 1 : 0));
+    }
   }
   // Shards are never empty (Run caps the shard count at the client count).
   stats->slots_processed =

@@ -5,7 +5,9 @@
 // call (sim/client_sim.h), the only implementation of the protocol. Clients
 // never interact — the broadcast medium is read-only and fault realizations
 // are per-client — so no shared calendar of broadcast time is needed: each
-// client runs start to finish, in id order within its shard.
+// client runs start to finish, in id order within its shard. Only seeding
+// is done a block at a time: a shard seeds a block's generators side by
+// side (Rng::PrepareDraws) before the block's accesses.
 //
 // Scale-out and determinism contract:
 //   * The fleet is split into shards (contiguous client-id ranges), one
@@ -155,8 +157,10 @@ class PopulationSimulator {
 
   explicit PopulationSimulator(ClientSimulator sim) : sim_(std::move(sim)) {}
 
-  // Runs clients [begin, end) to completion in id order: keyed stream,
-  // workload draw, then one AccessOnce per client. With
+  // Runs clients [begin, end) to completion in id order, in blocks of a
+  // fixed width: the block's keyed streams, seeded together, and their
+  // workload draws, then the faulty clients' kFault streams, seeded
+  // together, then one AccessOnce per client. With
   // `record_histograms`, also counts the successful clients' data waits and
   // tuning times into the shard's histogram batches.
   void RunShard(uint64_t begin, uint64_t end, const PopSimOptions& options,

@@ -39,8 +39,53 @@ Rng& Rng::operator=(const Rng& other) {
 void Rng::SeedThrough(size_t last) {
   for (; seeded_ <= last; ++seeded_) {
     const uint64_t prev = state_[seeded_ - 1];
-    state_[seeded_] = 6364136223846793005ull * (prev ^ (prev >> 62)) + seeded_;
+    state_[seeded_] = kSeedMultiplier * (prev ^ (prev >> 62)) + seeded_;
   }
+}
+
+void Rng::PrepareDraws(std::span<Rng> rngs, uint64_t draws) {
+  if (draws == 0) return;
+  // Output i < kShift reads initial words i + 1 and i + kShift, so the first
+  // `draws` outputs read words through kShift + draws - 1.
+  const size_t last = draws >= kStateWords - kShift
+                          ? kStateWords - 1
+                          : kShift - 1 + static_cast<size_t>(draws);
+  Rng* lanes[kSeedLanes];
+  size_t filled = 0;
+  for (Rng& rng : rngs) {
+    if (rng.seeded_ != 1) {  // drawn from or prepared already
+      rng.SeedThrough(last);
+      continue;
+    }
+    lanes[filled++] = &rng;
+    if (filled == kSeedLanes) {
+      SeedLockstep(lanes, filled, last);
+      filled = 0;
+    }
+  }
+  if (filled > 0) SeedLockstep(lanes, filled, last);
+}
+
+void Rng::SeedLockstep(Rng* const* lanes, size_t count, size_t last) {
+  // Idle lanes of a short batch run lane 0's chain again and store the same
+  // words into lane 0, so every loop below has the same fixed width and
+  // unrolls into registers.
+  Rng* lane[kSeedLanes];
+  uint64_t word[kSeedLanes];
+#pragma GCC unroll 16
+  for (size_t l = 0; l < kSeedLanes; ++l) {
+    lane[l] = lanes[l < count ? l : 0];
+    word[l] = lane[l]->state_[0];
+  }
+  for (size_t w = 1; w <= last; ++w) {
+#pragma GCC unroll 16
+    for (size_t l = 0; l < kSeedLanes; ++l) {
+      word[l] = kSeedMultiplier * (word[l] ^ (word[l] >> 62)) + w;
+      lane[l]->state_[w] = word[l];
+    }
+  }
+#pragma GCC unroll 16
+  for (size_t l = 0; l < kSeedLanes; ++l) lane[l]->seeded_ = last + 1;
 }
 
 Rng Rng::Substream(RngStream stream) const {

@@ -14,12 +14,23 @@
 // seed, and each draw extends the seeding recurrence just as far as its
 // twist reads (157 words for the first output, one more for each of the
 // next 155) and twists its own state word in place.
+//
+// Seeding is still the bulk of a short-lived generator's cost: each word of
+// the recurrence x[w] = f * (x[w-1] ^ (x[w-1] >> 62)) + w needs the word
+// before it, so the 157 multiplies in front of a first output run strictly
+// back to back and the CPU's multiplier idles between them. Two generators'
+// chains share nothing, though. Rng::PrepareDraws therefore seeds a batch of
+// fresh generators in lockstep: it advances several chains one word index at
+// a time, so their independent multiplies overlap in the pipeline, and it
+// computes each chain exactly as SeedThrough would. The population simulator
+// prepares a block of client generators this way before drawing from any.
 
 #ifndef BCAST_UTIL_RNG_H_
 #define BCAST_UTIL_RNG_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -107,6 +118,21 @@ class Rng {
   /// The seed of the keyed substream Substream(stream, key).
   uint64_t SubstreamSeed(RngStream stream, uint64_t key) const;
 
+  /// Seeds every generator in `rngs` for its first `draws` outputs: the
+  /// state words those outputs read (through word 155 + draws, at most the
+  /// whole state) are computed now, and later draws seed on demand as
+  /// usual. Fresh generators are seeded in lockstep, several chains side by
+  /// side; one already drawn from or prepared is extended on its own. Either
+  /// way this only moves seeding work earlier: every output and every
+  /// draw_count() stays std::mt19937_64's.
+  static void PrepareDraws(std::span<Rng> rngs, uint64_t draws);
+
+  /// Chains PrepareDraws advances side by side. The seeding multiply takes
+  /// several cycles but can start every cycle, so independent chains keep
+  /// it busy. On a 4-core x86-64 host (GCC 12, -O2) 8 lanes seeded a client
+  /// for 2 draws in ~115 ns against ~185 ns with 4 and ~410 ns serially.
+  static constexpr size_t kSeedLanes = 8;
+
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
@@ -144,8 +170,14 @@ class Rng {
   static constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
   static constexpr uint64_t kLowerMask = ~kUpperMask;
 
+  static constexpr uint64_t kSeedMultiplier = 6364136223846793005ull;
+
   // Extends the seeding recurrence so that initial words [0, last] exist.
   void SeedThrough(size_t last);
+
+  // PrepareDraws' kernel: seeds words [1, last] of `count` fresh generators
+  // (1 to kSeedLanes) side by side.
+  static void SeedLockstep(Rng* const* lanes, size_t count, size_t last);
 
   uint64_t seed_;
   uint64_t draws_ = 0;

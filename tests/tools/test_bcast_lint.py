@@ -183,6 +183,26 @@ class RngSubstreamsRuleTest(LintTreeTestCase):
                    "}\n")
         self.assertEqual(self.lint(rules=("rng-substreams",)), [])
 
+    def test_flags_default_seeded_rng_and_rng_array(self):
+        self.write("src/sim/x.cc",
+                   "void f() {\n"
+                   "  Rng rng;\n"
+                   "  Rng block[8];\n"
+                   "}\n")
+        findings = self.lint(rules=("rng-substreams",))
+        self.assertEqual([f.line for f in findings], [2, 3])
+        self.assertIn("'rng'", findings[0].message)
+        self.assertIn("'block'", findings[1].message)
+
+    def test_default_seeded_rng_and_rng_array_suppressed(self):
+        self.write("src/sim/x.cc",
+                   "void f() {\n"
+                   "  Rng rng;  // bcast-lint: allow(rng-substreams)\n"
+                   "  // bcast-lint: allow(rng-substreams)\n"
+                   "  Rng block[8];\n"
+                   "}\n")
+        self.assertEqual(self.lint(rules=("rng-substreams",)), [])
+
     def test_rng_implementation_files_exempt(self):
         self.write("src/util/rng.cc", "Rng rng(42);\n")
         self.write("src/util/rng.h", "Rng rng(42);\n")

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -156,6 +157,70 @@ TEST(RngTest, CopyTakenMidBlockContinuesIdentically) {
       ASSERT_EQ(copied.NextU64(), expected) << "output " << i;
       ASSERT_EQ(assigned.NextU64(), expected) << "output " << i;
       ASSERT_EQ(copy_of_copy.NextU64(), expected) << "output " << i;
+    }
+  }
+}
+
+// Rng::PrepareDraws seeds fresh generators in lockstep, Rng::kSeedLanes
+// chains at a time. Blocks of 1 to 2 * kSeedLanes + 1 generators cover full
+// and ragged lane groups; the draw counts run across the end of on-demand
+// seeding (156 outputs) and past the whole state (312 words), where
+// preparing stops.
+TEST(RngTest, LockstepSeedingMatchesStdEngine) {
+  constexpr uint64_t kPreparedDraws[] = {0, 1, 2, 3, 155, 156, 157, 300, 400};
+  for (size_t block = 1; block <= 2 * Rng::kSeedLanes + 1; ++block) {
+    for (uint64_t prepared : kPreparedDraws) {
+      SCOPED_TRACE(testing::Message() << "block " << block << ", prepared "
+                                      << prepared);
+      std::vector<Rng> rngs;
+      for (size_t i = 0; i < block; ++i) {
+        rngs.emplace_back(MixSeed(block * 1000 + prepared * 10 + i));
+      }
+      Rng::PrepareDraws(rngs, prepared);
+      for (size_t i = 0; i < block; ++i) {
+        EXPECT_EQ(rngs[i].draw_count(), 0u);
+        // A copy and an assignment of a prepared generator carry its
+        // seeded words and continue exactly as it does.
+        Rng copied(rngs[i]);
+        Rng assigned(7);
+        assigned.NextU64();
+        assigned = rngs[i];
+        std::mt19937_64 reference(rngs[i].seed());
+        for (int k = 0; k < 700; ++k) {
+          const uint64_t expected = reference();
+          ASSERT_EQ(rngs[i].NextU64(), expected) << "rng " << i << " output "
+                                                  << k;
+          ASSERT_EQ(copied.NextU64(), expected) << "copy " << i;
+          ASSERT_EQ(assigned.NextU64(), expected) << "assigned " << i;
+        }
+        EXPECT_EQ(rngs[i].draw_count(), 700u);
+      }
+    }
+  }
+}
+
+// A generator already drawn from or prepared is no lane of the lockstep;
+// PrepareDraws extends its seeding on its own, and its outputs and draw
+// count stay the std engine's.
+TEST(RngTest, PrepareDrawsLeavesDrawnAndPreparedGeneratorsExact) {
+  constexpr uint64_t kDrawnBefore[] = {0, 0, 1, 2, 155, 156, 157, 400, 0, 0};
+  std::vector<Rng> rngs;
+  std::vector<std::mt19937_64> references;
+  for (size_t i = 0; i < std::size(kDrawnBefore); ++i) {
+    rngs.emplace_back(MixSeed(i));
+    references.emplace_back(MixSeed(i));
+    for (uint64_t k = 0; k < kDrawnBefore[i]; ++k) {
+      ASSERT_EQ(rngs[i].NextU64(), references[i]());
+    }
+  }
+  // The last two are prepared once already, for fewer and for more draws.
+  Rng::PrepareDraws(std::span<Rng>(rngs).subspan(8, 1), 1);
+  Rng::PrepareDraws(std::span<Rng>(rngs).subspan(9, 1), 200);
+  Rng::PrepareDraws(rngs, 16);
+  for (size_t i = 0; i < rngs.size(); ++i) {
+    EXPECT_EQ(rngs[i].draw_count(), kDrawnBefore[i]) << i;
+    for (int k = 0; k < 700; ++k) {
+      ASSERT_EQ(rngs[i].NextU64(), references[i]()) << i << " output " << k;
     }
   }
 }

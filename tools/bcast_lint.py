@@ -17,7 +17,9 @@ into structured, per-line static rules over ``src/``:
                    ``time()``/``clock()`` etc. are banned outside src/obs/.
   rng-substreams   Every ``Rng`` constructed in src/ must be forked with
                    ``Substream(RngStream::k...)`` so logically independent
-                   random processes never perturb each other. src/popsim/
+                   random processes never perturb each other; a
+                   default-seeded ``Rng x;`` or ``Rng x[N];`` counts as
+                   unforked. src/popsim/
                    additionally requires client-id-keyed derivation: its
                    shard tasks run each client from that client's own
                    keyed stream, and an unkeyed
@@ -269,7 +271,9 @@ def rule_clock_discipline(path, raw, scrubbed):
                                _CLOCK_TOKENS)
 
 
-_RNG_DECL = re.compile(r"\bRng\s+(\w+)\s*[=({]")
+# `Rng x(...)`, `Rng x = ...`, `Rng x{...}`, and the default-seeded `Rng x;`
+# and `Rng x[N];`, which name no substream at all.
+_RNG_DECL = re.compile(r"\bRng\s+(\w+)\s*[=({;\[]")
 
 # Single-argument (unkeyed) substream derivation: `recv.Substream(RngStream::kX)`
 # with no key argument. The population engine must key every per-client stream
