@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <string>
@@ -62,9 +63,11 @@ void ForEachKSubsetMask(const NodeId* items, int n, int k, Fn emit) {
   }
 }
 
-// Table size of the memo's first allocation (2 KiB): small enough that a
-// search of a few dozen states pays next to nothing for it.
-constexpr size_t kMemoInitialSlots = 64;
+// Table size of the memo's first allocation (16 KiB). A fresh search object
+// grows its memo from here; starting at 64 slots, the four doublings and
+// rehashes that a typical 1,000-state plan went through cost about 4% of
+// its plan time.
+constexpr size_t kMemoInitialSlots = 512;
 
 // SplitMix64 over the full (mask, last_set, depth) key, so linear probing
 // does not cluster on the low-entropy depth field.
@@ -156,20 +159,38 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
     : tree_(tree), options_(options) {
   int n = tree.num_nodes();
   full_mask_ = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  data_by_weight_ = tree.DataNodes();
+  for (NodeId d : tree.DataNodes()) {
+    uint64_t ancestors = 0;
+    for (NodeId a : tree.AncestorsOf(d)) ancestors |= Bit(a);
+    data_by_weight_.push_back(
+        {d, ancestors, tree.weight(d), tree.node(d).level});
+  }
   std::sort(data_by_weight_.begin(), data_by_weight_.end(),
-            [&](NodeId a, NodeId b) {
-              if (tree_.weight(a) != tree_.weight(b)) {
-                return tree_.weight(a) > tree_.weight(b);
-              }
-              return a < b;
+            [](const DataItem& a, const DataItem& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              return a.id < b.id;
             });
 
+  // Integer weights with a small total make every V and U an exact integer
+  // sum, so E needs no rounding guard (see Estimate). No V or U exceeds
+  // total weight x 128 slots, far below 2^53 under this cap.
+  bool exact_sums = tree.total_data_weight() <= 0x1p44;
+  for (const DataItem& d : data_by_weight_) {
+    exact_sums = exact_sums && d.weight == std::floor(d.weight);
+  }
+  rounding_slack_ = exact_sums ? 0.0 : 0x1p-44;
+  rank_bit_.assign(static_cast<size_t>(n), 0);
+  for (size_t rank = 0; rank < data_by_weight_.size(); ++rank) {
+    rank_bit_[static_cast<size_t>(data_by_weight_[rank].id)] = uint64_t{1}
+                                                              << rank;
+  }
   weight_.resize(static_cast<size_t>(n));
+  level_.resize(static_cast<size_t>(n));
   children_mask_.assign(static_cast<size_t>(n), 0);
   higher_rank_mask_.assign(static_cast<size_t>(n), 0);
   for (NodeId id = 0; id < n; ++id) {
     weight_[static_cast<size_t>(id)] = tree.weight(id);
+    level_[static_cast<size_t>(id)] = tree.node(id).level;
     if (tree.is_data(id)) {
       data_mask_ |= Bit(id);
     } else {
@@ -192,17 +213,19 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
   // One neighbor arena per possible DFS depth (a path has at most n compound
   // sets plus the root slot).
   level_scratch_.resize(static_cast<size_t>(n) + 2);
+  level_children_.resize(level_scratch_.size());
 }
 
-// bcast: hot — canonical sibling order, called per generated neighbor.
+bool TopoTreeSearch::ChildBefore(const Child& a, const Child& b) {
+  if (a.weight != b.weight) return a.weight > b.weight;
+  return a.set < b.set;
+}
+
 bool TopoTreeSearch::SubsetLess(uint64_t a, uint64_t b) const {
-  const double wa = SetDataWeight(a);
-  const double wb = SetDataWeight(b);
-  if (wa != wb) return wa > wb;
-  return a < b;
+  return ChildBefore(Child{a, SetDataWeight(a)}, Child{b, SetDataWeight(b)});
 }
 
-// bcast: hot — inner loop of expansion and bounding.
+// bcast: hot — once per generated neighbor.
 double TopoTreeSearch::SetDataWeight(uint64_t set) const {
   // Ascending-id accumulation, like the pre-bitmask implementation, so every
   // committed golden ADW double is reproduced bit for bit.
@@ -250,31 +273,22 @@ void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
       if (k == 1) {
         // Case 1(i): only children of p; among data children only the
         // heaviest (Property 2, characteristic 1). data_by_weight_ is sorted
-        // weight-descending with ascending-id ties, so the first hit is the
-        // canonical heaviest data child.
+        // weight-descending with ascending-id ties, so the lowest weight
+        // rank is the canonical heaviest data child.
         uint64_t kept = cand & children_of_p & index_mask_;
         const uint64_t data_children = cand & children_of_p & data_mask_;
         if (data_children != 0) {
-          for (NodeId d : data_by_weight_) {
-            if ((data_children & Bit(d)) != 0) {
-              kept |= Bit(d);
-              break;
-            }
-          }
+          kept |= Bit(Heaviest(RankMask(data_children)).id);
         }
         cand = kept;
       } else {
         // Case 1(ii): drop data that are not children of P; keep only the k
         // heaviest remaining data (Property 3, characteristics 1/2).
         uint64_t kept = cand & index_mask_;
-        const uint64_t data_children = cand & children_of_p & data_mask_;
-        int taken = 0;
-        for (NodeId d : data_by_weight_) {
-          if (taken == k) break;
-          if ((data_children & Bit(d)) != 0) {
-            kept |= Bit(d);
-            ++taken;
-          }
+        uint64_t ranks = RankMask(cand & children_of_p);
+        for (int taken = 0; ranks != 0 && taken < k; ++taken) {
+          kept |= Bit(Heaviest(ranks).id);
+          ranks &= ranks - 1;
         }
         cand = kept;
       }
@@ -322,11 +336,8 @@ void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
     // candidates, so data enter as a prefix of the weight-sorted list.
     NodeId data_sorted[64];
     int num_data = 0;
-    const uint64_t cand_data = cand & data_mask_;
-    if (cand_data != 0) {
-      for (NodeId d : data_by_weight_) {
-        if ((cand_data & Bit(d)) != 0) data_sorted[num_data++] = d;
-      }
+    for (uint64_t ranks = RankMask(cand); ranks != 0; ranks &= ranks - 1) {
+      data_sorted[num_data++] = Heaviest(ranks).id;
     }
     NodeId index_items[64];
     int num_index = 0;
@@ -420,28 +431,69 @@ void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
   }
 }
 
-// bcast: hot — admissible bound, evaluated per child.
+// E(X) = V + U with a one-sided rounding guard. V sums a path's slot costs
+// in path order, U its own terms in weight order, so when the bound is
+// tight the float V + U can land an ulp above the float V of the optimal
+// completion; `est >= best_v` or `est > seed_bound` would then cut the
+// canonical optimum. Every term is non-negative and a path has at most 64
+// slots of at most 64 weights, so V and U each carry a relative error below
+// 2^-45 (about 130 unit roundoffs). Taking rounding_slack_ = 2^-44 of V + U
+// off U, never going below V, keeps E at or under the float V of every
+// completion, and E >= V still holds, so a child with V >= best_v is cut
+// without its bound. With exact sums the slack is 0 and E = V + U.
+double TopoTreeSearch::Estimate(double v, double bound) const {
+  return v + std::max(0.0, bound - rounding_slack_ * (v + bound));
+}
+
+uint64_t TopoTreeSearch::RankMask(uint64_t set) const {
+  uint64_t ranks = 0;
+  ForEachBit(set & data_mask_,
+             [&](NodeId id) { ranks |= rank_bit_[static_cast<size_t>(id)]; });
+  return ranks;
+}
+
 double TopoTreeSearch::LowerBound(uint64_t mask, int depth) const {
-  const int k = options_.num_channels;
+  return RankedLowerBound(RankMask(full_mask_ & ~mask), mask, depth);
+}
+
+// bcast: hot — admissible bound, evaluated per child.
+double TopoTreeSearch::RankedLowerBound(uint64_t ranks, uint64_t mask,
+                                        int depth) const {
   double bound = 0.0;
   if (options_.bound == BoundKind::kPaperNextSlot) {
-    for (NodeId d : data_by_weight_) {
-      if ((mask & Bit(d)) == 0) {
-        bound += tree_.weight(d) * static_cast<double>(depth + 1);
-      }
+    for (; ranks != 0; ranks &= ranks - 1) {
+      bound += Heaviest(ranks).weight * static_cast<double>(depth + 1);
     }
     return bound;
   }
-  // Packed bound: heaviest remaining data first, k per slot.
-  int slot = depth + 1;
-  int in_slot = 0;
-  for (NodeId d : data_by_weight_) {
-    if ((mask & Bit(d)) != 0) continue;
-    bound += tree_.weight(d) * static_cast<double>(slot);
-    if (++in_slot == k) {
-      ++slot;
-      in_slot = 0;
-    }
+  // Release-date bound: a remaining data node d cannot be sent before
+  // relative slot r = (its unallocated ancestors), since each of them needs
+  // its own earlier slot. Heaviest first, each takes the earliest slot >= r
+  // with a free channel; an exchange argument makes this greedy exact for
+  // unit jobs with release dates on k channels (DESIGN.md §17).
+  const int k = options_.num_channels;
+  uint64_t full = 0;       // relative slots whose k channels are all taken
+  uint8_t taken[64] = {};  // data placed per relative slot (<= 63 each)
+  for (; ranks != 0; ranks &= ranks - 1) {
+    const DataItem& d = Heaviest(ranks);
+    // r counts d's unallocated ancestors. The allocated ones are a
+    // root-first prefix of its path and a parent's id is below its
+    // children's, so the highest allocated ancestor bit is the deepest:
+    // a bit scan and a load, where std::popcount is a library call on
+    // baseline x86-64.
+    const int release =
+        d.level - 1 -
+        level_[static_cast<size_t>(std::bit_width(d.ancestors & mask) - 1)];
+    BCAST_DCHECK_EQ(release, std::popcount(d.ancestors & ~mask));
+    const int slot = release + std::countr_zero(~full >> release);
+    // At most 63 nodes are unallocated (the root never is). d, its `release`
+    // unallocated ancestors (index nodes) and at least one earlier-placed
+    // datum per full slot in [release, slot) are distinct unallocated nodes,
+    // so slot + 1 <= 63: the window's top bit is never reached, and the
+    // shifted ~full above always has a free slot to count up to.
+    BCAST_DCHECK_LE(slot, 62);
+    bound += d.weight * static_cast<double>(depth + 1 + slot);
+    if (++taken[slot] == k) full |= uint64_t{1} << slot;
   }
   return bound;
 }
@@ -472,10 +524,6 @@ struct TopoTreeSearch::DfsContext {
   double frontier_lower = std::numeric_limits<double>::infinity();
   std::vector<uint64_t> current_path;
   std::vector<uint64_t> best_path;
-  // Per-depth neighbor arenas (the search object's level_scratch_). Depth d
-  // borrows levels[d]; the recursive call at depth + 1 uses the next entry,
-  // so no frame ever aliases another and nothing is copied between levels.
-  std::vector<std::vector<uint64_t>>* levels = nullptr;
   // The search object's memo (kOptimize only; null in the counting modes, so
   // their counts never depend on it).
   TranspositionMemo* memo = nullptr;
@@ -506,7 +554,7 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
       // Abandoned subtree: its cheapest completion costs at least the
       // admissible estimate V + U, folded into the reported lower bound.
       ctx->frontier_lower =
-          std::min(ctx->frontier_lower, v + LowerBound(mask, depth));
+          std::min(ctx->frontier_lower, Estimate(v, LowerBound(mask, depth)));
       return Status::Ok();
     }
   }
@@ -545,22 +593,33 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
     return Status::Ok();
   }
 
-  std::vector<uint64_t>& neighbors = (*ctx->levels)[static_cast<size_t>(depth)];
+  std::vector<uint64_t>& neighbors = level_scratch_[static_cast<size_t>(depth)];
   GenerateNeighbors(mask, last_set, &neighbors, &ctx->stats);
+  std::vector<Child>& children = level_children_[static_cast<size_t>(depth)];
+  children.clear();
+  for (uint64_t set : neighbors) children.push_back({set, SetDataWeight(set)});
+  uint64_t ranks = 0;  // weight ranks of the unallocated data
   if (ctx->mode == DfsContext::Mode::kOptimize) {
+    ranks = RankMask(full_mask_ & ~mask);
     // Visit promising neighbors first so the incumbent tightens quickly. The
     // canonical order (not just weight-descending) pins which equal-cost
     // optimum is found first, and is what makes the memo's V-only dominance
     // rule exact.
-    std::sort(neighbors.begin(), neighbors.end(),
-              [&](uint64_t a, uint64_t b) { return SubsetLess(a, b); });
+    std::sort(children.begin(), children.end(), ChildBefore);
   }
-  for (size_t i = 0; i < neighbors.size(); ++i) {
-    const uint64_t subset = neighbors[i];
-    double nv = v + SetDataWeight(subset) * static_cast<double>(depth + 1);
+  for (size_t i = 0; i < children.size(); ++i) {
+    const uint64_t subset = children[i].set;
+    double nv = v + children[i].weight * static_cast<double>(depth + 1);
     if (ctx->mode == DfsContext::Mode::kOptimize) {
       // Lemmas 1/2: V + U is a lower bound on any completion through subset.
-      const double est = nv + LowerBound(mask | subset, depth + 1);
+      // E >= V, so a child whose V alone reaches the cut needs no bound.
+      if (nv >= ctx->best_v || nv > ctx->seed_bound) {
+        ++ctx->stats.bound_cutoffs;
+        continue;
+      }
+      const double est =
+          Estimate(nv, RankedLowerBound(ranks & ~RankMask(subset),
+                                        mask | subset, depth + 1));
       if (est >= ctx->best_v || est > ctx->seed_bound) {
         ++ctx->stats.bound_cutoffs;
         continue;
@@ -590,7 +649,6 @@ Result<uint64_t> TopoTreeSearch::CountPaths(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountPaths;
   ctx.limit = limit;
-  ctx.levels = &level_scratch_;
   NodeId root = tree_.root();
   double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
   BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
@@ -601,7 +659,6 @@ Result<uint64_t> TopoTreeSearch::CountTreeNodes(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
-  ctx.levels = &level_scratch_;
   NodeId root = tree_.root();
   double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
   BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
@@ -614,7 +671,6 @@ Result<SearchStats> TopoTreeSearch::ReducedTreeStats(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
-  ctx.levels = &level_scratch_;
   NodeId root = tree_.root();
   double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
   BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
@@ -626,7 +682,6 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kOptimize;
   ctx.seed_bound = seed_cost_v;
-  ctx.levels = &level_scratch_;
   memo_.Clear();
   ctx.memo = &memo_;
   if (budget != nullptr && budget->active()) {
@@ -709,7 +764,7 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalBestFirst(
   NodeId root = tree_.root();
   double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
   arena.push_back({Bit(root), Bit(root), v0, 1, -1});
-  open.push({v0 + LowerBound(Bit(root), 1), v0, 0});
+  open.push({Estimate(v0, LowerBound(Bit(root), 1)), v0, 0});
 
   // Dominance: a state is skippable if an already-seen state with the same
   // key has both depth' <= depth and v' <= v. Without pruning the neighbor
@@ -786,7 +841,8 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalBestFirst(
         ++stats.dominance_skips;
         continue;
       }
-      const double child_e = child_v + LowerBound(child_mask, child_depth);
+      const double child_e =
+          Estimate(child_v, LowerBound(child_mask, child_depth));
       if (child_e > seed_cost_v) {
         // The seed is the cost of a known feasible allocation, so no optimum
         // lies beyond it (strict >: equal-cost states stay in play).

@@ -16,8 +16,10 @@
 //  * the exact optimizer over the (possibly reduced) tree: depth-first
 //    branch-and-bound on the paper's estimate E(X) = V(X) + U(X)
 //    (Section 3.1), where U(X) is an admissible estimate of the remaining
-//    data wait, with a transposition memo that skips a state already
-//    entered at no greater V (DESIGN.md §17);
+//    data wait (by default the release-date bound: each remaining data
+//    node waits for its unallocated ancestors, then the heaviest take the
+//    free channels first), with a transposition memo that skips a state
+//    already entered at no greater V (DESIGN.md §17);
 //  * the paper's best-first search on the same E(X), kept as a second,
 //    independent exact oracle for the tests.
 //
@@ -30,15 +32,18 @@
 // the data/index partition masks and the Lemma-5 preorder-rank masks are
 // precomputed once at Create(), candidate sets are derived by OR/AND-NOT over
 // them, and k-subset generation enumerates combinations directly over the
-// 64-bit candidate mask. The depth-first optimizer draws its neighbor lists
-// from a per-depth scratch arena and its memo from a table, both owned by the
-// search object and reused across calls, so once they have grown a call
-// allocates the same whatever its expansion count (asserted by
+// 64-bit candidate mask. Data nodes also carry a weight rank, so "the
+// heaviest data in this set" is a count-trailing-zeros over a rank mask.
+// The depth-first optimizer draws its neighbor lists from a per-depth
+// scratch arena and its memo from a table, both owned by the search object
+// and reused across calls, so once they have grown a call allocates the
+// same whatever its expansion count (asserted by
 // tests/alloc_free_search_test.cc).
 
 #ifndef BCAST_ALLOC_TOPO_SEARCH_H_
 #define BCAST_ALLOC_TOPO_SEARCH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -105,11 +110,16 @@ class TopoTreeSearch {
   /// Lower-bound estimate U(X) used by the optimizer.
   enum class BoundKind {
     /// The paper's U(X): every unallocated data node lands in the very next
-    /// slot. Admissible but loose.
+    /// slot. Admissible but loose; kept as the ablation.
     kPaperNextSlot,
-    /// Packed bound: unallocated data nodes, heaviest first, fill the next
-    /// slots k at a time. Still admissible (ignores index nodes and ordering
-    /// constraints) and much tighter. Default.
+    /// Packed release-date bound. A data node with r unallocated ancestors
+    /// cannot go out before r slots from now, since each ancestor takes a
+    /// slot of its own first. Unallocated data nodes, heaviest first, each
+    /// take the earliest slot at or after that release slot that still has
+    /// one of its k channels free. This schedules unit jobs with release
+    /// dates on k channels optimally (an exchange argument, DESIGN.md §17),
+    /// so it is admissible and never below the plain packing that lets
+    /// every node start at the next slot. Default.
     kPacked,
   };
 
@@ -204,7 +214,8 @@ class TopoTreeSearch {
                          std::vector<uint64_t>* out, SearchStats* stats) const;
 
   /// Admissible lower bound on the *additional* weighted wait of data nodes
-  /// not in `mask`, if the next slot index is `depth + 1` (1-based).
+  /// not in `mask`, if the next slot index is `depth + 1` (1-based). `mask`
+  /// is a search state: it holds the root and the parent of every node in it.
   double LowerBound(uint64_t mask, int depth) const;
 
   /// Canonical strict total order on sibling compound sets: data weight
@@ -220,12 +231,39 @@ class TopoTreeSearch {
   const IndexTree& tree() const { return tree_; }
 
  private:
+  // One data node as the bound and the Step 2 filters read it.
+  struct DataItem {
+    NodeId id;
+    uint64_t ancestors;  // its proper ancestors, as bits
+    double weight;
+    int level;  // tree level, root == 1
+  };
+  // A generated neighbor with its data weight, computed once per expansion:
+  // the canonical sort and the child's V both read it.
+  struct Child {
+    uint64_t set;
+    double weight;
+  };
+  // SubsetLess on neighbors whose data weights are already known.
+  static bool ChildBefore(const Child& a, const Child& b);
+
   TopoTreeSearch(const IndexTree& tree, Options options);
 
   // Candidate set S for the allocated-set `mask`: nodes whose parent is
   // allocated but which are not, as a bitmask (union of the precomputed
   // children masks of the allocated nodes, minus the allocated nodes).
   uint64_t CandidateMask(uint64_t mask) const;
+
+  // Weight ranks (bits into data_by_weight_) of the data nodes in `set`.
+  uint64_t RankMask(uint64_t set) const;
+  // The heaviest data node among nonempty weight ranks `ranks`.
+  const DataItem& Heaviest(uint64_t ranks) const {
+    return data_by_weight_[static_cast<size_t>(std::countr_zero(ranks))];
+  }
+  // E(X) = V + U for the cuts, deflated against rounding (rounding_slack_).
+  double Estimate(double v, double bound) const;
+  // LowerBound over the unallocated data whose weight ranks are `ranks`.
+  double RankedLowerBound(uint64_t ranks, uint64_t mask, int depth) const;
 
   // Depth-first worker shared by counting and branch-and-bound.
   struct DfsContext;
@@ -235,22 +273,30 @@ class TopoTreeSearch {
   const IndexTree& tree_;
   Options options_;
   uint64_t full_mask_ = 0;
-  std::vector<NodeId> data_by_weight_;  // data ids, heaviest first
+  // Relative deflation of U in Estimate: 0 when every weight is an integer
+  // and the sums stay exact, else 2^-44.
+  double rounding_slack_ = 0.0;
+  // Data nodes heaviest first (ties by ascending id).
+  std::vector<DataItem> data_by_weight_;
 
   // --- bitmask tables, fixed at construction --------------------------------
   uint64_t data_mask_ = 0;   // bit set iff the node is a data node
   uint64_t index_mask_ = 0;  // complement of data_mask_ within full_mask_
   std::vector<double> weight_;          // weight_[id] == tree_.weight(id)
+  std::vector<uint64_t> rank_bit_;      // data: bit of its weight rank
+  std::vector<int> level_;              // level_[id] == tree_.node(id).level
   std::vector<uint64_t> children_mask_; // children of node id, as bits
   // higher_rank_mask_[x]: index nodes with preorder rank > rank(x) (the
   // Lemma 5 canonical-order test reduces to one AND against this).
   std::vector<uint64_t> higher_rank_mask_;
 
   // Per-depth neighbor arenas for the depth-first walks (optimize and the
-  // counting modes). Each depth owns one vector that grows to its high-water
+  // counting modes). Depth d borrows entry d and its recursive call the next
+  // one, so no frame aliases another. Each vector grows to its high-water
   // mark on first descent and is reused ever after, so steady-state DFS
   // expansion allocates nothing.
   std::vector<std::vector<uint64_t>> level_scratch_;
+  std::vector<std::vector<Child>> level_children_;
   // The optimizer's transposition memo, cleared per call and reused.
   TranspositionMemo memo_;
 };

@@ -1,6 +1,7 @@
 #include "tree/builders.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "util/check.h"
@@ -79,14 +80,20 @@ IndexTree MakeChainTree(int chain_length, double leaf_weight) {
 
 namespace {
 
-// Recursively splits `num_data` leaves under `parent`.
+void AddRandomLeaf(Rng* rng, IndexTree* tree, NodeId parent,
+                   int* next_data_label) {
+  double w = static_cast<double>(rng->UniformInt(1, 100));
+  tree->AddDataNode(parent, w, "d" + std::to_string((*next_data_label)++));
+}
+
+// Recursively splits `num_data` leaves under `parent`, adding at most
+// `*index_budget` index nodes.
 void GrowRandomSubtree(Rng* rng, IndexTree* tree, NodeId parent, int num_data,
-                       int max_fanout, int* next_data_label,
+                       int max_fanout, int* index_budget, int* next_data_label,
                        int* next_index_label) {
   BCAST_CHECK_GE(num_data, 1);
   if (num_data == 1) {
-    double w = static_cast<double>(rng->UniformInt(1, 100));
-    tree->AddDataNode(parent, w, "d" + std::to_string((*next_data_label)++));
+    AddRandomLeaf(rng, tree, parent, next_data_label);
     return;
   }
   int parts = static_cast<int>(
@@ -98,13 +105,17 @@ void GrowRandomSubtree(Rng* rng, IndexTree* tree, NodeId parent, int num_data,
   }
   for (int s : share) {
     if (s == 1) {
-      double w = static_cast<double>(rng->UniformInt(1, 100));
-      tree->AddDataNode(parent, w, "d" + std::to_string((*next_data_label)++));
+      AddRandomLeaf(rng, tree, parent, next_data_label);
+    } else if (*index_budget == 0) {
+      for (int i = 0; i < s; ++i) {
+        AddRandomLeaf(rng, tree, parent, next_data_label);
+      }
     } else {
+      --*index_budget;
       NodeId child =
           tree->AddIndexNode(parent, "i" + std::to_string((*next_index_label)++));
-      GrowRandomSubtree(rng, tree, child, s, max_fanout, next_data_label,
-                        next_index_label);
+      GrowRandomSubtree(rng, tree, child, s, max_fanout, index_budget,
+                        next_data_label, next_index_label);
     }
   }
 }
@@ -112,14 +123,22 @@ void GrowRandomSubtree(Rng* rng, IndexTree* tree, NodeId parent, int num_data,
 }  // namespace
 
 IndexTree MakeRandomTree(Rng* rng, int num_data, int max_fanout) {
+  return MakeRandomTree(rng, num_data, max_fanout,
+                        std::numeric_limits<int>::max());
+}
+
+IndexTree MakeRandomTree(Rng* rng, int num_data, int max_fanout,
+                         int max_nodes) {
   BCAST_CHECK_GE(num_data, 1);
   BCAST_CHECK_GE(max_fanout, 2);
+  BCAST_CHECK_GT(max_nodes, num_data);
   IndexTree tree;
   NodeId root = tree.AddIndexNode(kInvalidNode, "i1");
+  int index_budget = max_nodes - num_data - 1;
   int next_data_label = 1;
   int next_index_label = 2;
-  GrowRandomSubtree(rng, &tree, root, num_data, max_fanout, &next_data_label,
-                    &next_index_label);
+  GrowRandomSubtree(rng, &tree, root, num_data, max_fanout, &index_budget,
+                    &next_data_label, &next_index_label);
   BCAST_CHECK(tree.Finalize().ok());
   return tree;
 }

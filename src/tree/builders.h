@@ -38,6 +38,14 @@ IndexTree MakeChainTree(int chain_length, double leaf_weight);
 /// uniform in [1, 100].
 IndexTree MakeRandomTree(Rng* rng, int num_data, int max_fanout);
 
+/// MakeRandomTree with at most `max_nodes` nodes (needs max_nodes >
+/// num_data). It draws as MakeRandomTree while index nodes fit under the
+/// cap, so a tree that fits anyway comes out unchanged. Once the cap leaves
+/// no room for another index node, a share of several leaves hangs them
+/// directly on the current parent, whose fanout may then exceed max_fanout.
+IndexTree MakeRandomTree(Rng* rng, int num_data, int max_fanout,
+                         int max_nodes);
+
 }  // namespace bcast
 
 #endif  // BCAST_TREE_BUILDERS_H_

@@ -23,8 +23,7 @@ class BestFirstPrunedTest : public ::testing::TestWithParam<Case> {};
 TEST_P(BestFirstPrunedTest, PrunedBestFirstMatchesPrunedDfs) {
   const Case& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3);
-  if (tree.num_nodes() > 13) GTEST_SKIP();
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3, /*max_nodes=*/13);
 
   TopoTreeSearch::Options options;
   options.num_channels = param.channels;
@@ -45,8 +44,7 @@ TEST_P(BestFirstPrunedTest, PrunedBestFirstMatchesPrunedDfs) {
 TEST_P(BestFirstPrunedTest, PaperBoundBestFirstIsAlsoExact) {
   const Case& param = GetParam();
   Rng rng(param.seed ^ 0x5A5A);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3);
-  if (tree.num_nodes() > 12) GTEST_SKIP();
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3, /*max_nodes=*/12);
 
   TopoTreeSearch::Options packed;
   packed.num_channels = param.channels;

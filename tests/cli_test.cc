@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 namespace bcast {
 namespace {
@@ -774,6 +775,71 @@ TEST(CliTest, PopsimTelemetryKeepsDigestIdentical) {
   EXPECT_NE(top.find("source popsim"), std::string::npos) << top;
   EXPECT_NE(top.find("popsim.shard.clients"), std::string::npos) << top;
   std::remove(path.c_str());
+}
+
+// --- flags a command never reads --------------------------------------------
+
+// Runs `args` plus a misspelled flag and expects the usage exit naming it.
+void ExpectUnreadFlagRejected(std::vector<std::string> args,
+                              const std::string& flag) {
+  const std::string command = args[0];
+  args.push_back("--" + flag);
+  args.push_back("3");
+  std::string out;
+  EXPECT_EQ(RunCommand(args, &out), 2) << out;
+  EXPECT_NE(out.find("unknown flag --" + flag + " for `" + command + "`"),
+            std::string::npos)
+      << out;
+}
+
+TEST(CliTest, PlanRejectsAFlagItDoesNotRead) {
+  // The typo'd --chanels used to be ignored, planning with 2 channels.
+  ExpectUnreadFlagRejected(
+      {"plan", "--tree", kExampleTree, "--channels", "2"}, "chanels");
+}
+
+TEST(CliTest, StatsRejectsAFlagItDoesNotRead) {
+  ExpectUnreadFlagRejected({"stats", "--tree", kExampleTree}, "chanels");
+}
+
+TEST(CliTest, InfoRejectsAFlagItDoesNotRead) {
+  // --channels is a plan flag: info never reads it.
+  ExpectUnreadFlagRejected({"info", "--tree", kExampleTree}, "channels");
+}
+
+TEST(CliTest, SimulateRejectsAFlagItDoesNotRead) {
+  ExpectUnreadFlagRejected(
+      {"simulate", "--tree", kExampleTree, "--queries", "100"}, "querys");
+}
+
+TEST(CliTest, AdaptiveSimulateRejectsAFlagItDoesNotRead) {
+  ExpectUnreadFlagRejected({"simulate", "--cycles", "2", "--items", "6"},
+                           "item");
+}
+
+TEST(CliTest, PopsimRejectsAFlagItDoesNotRead) {
+  ExpectUnreadFlagRejected(
+      {"popsim", "--tree", kExampleTree, "--clients", "100"}, "client");
+}
+
+TEST(CliTest, EvalVerifyAndTopRejectAFlagTheyDoNotRead) {
+  std::string path = ::testing::TempDir() + "/cli_unread_flag.bcast";
+  std::string out;
+  ASSERT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--save", path}, &out),
+            0)
+      << out;
+  ExpectUnreadFlagRejected({"eval", "--program", path}, "simulat");
+  ExpectUnreadFlagRejected({"verify", "--program", path}, "simulate");
+
+  std::string stream = ::testing::TempDir() + "/cli_unread_flag.jsonl";
+  ASSERT_EQ(RunCommand({"popsim", "--tree", kExampleTree, "--clients", "100",
+                        "--telemetry-out", stream},
+                       &out),
+            0)
+      << out;
+  ExpectUnreadFlagRejected({"top", "--replay", stream}, "windw");
+  std::remove(path.c_str());
+  std::remove(stream.c_str());
 }
 
 }  // namespace

@@ -121,8 +121,8 @@ class DataTreeOptimalityTest : public ::testing::TestWithParam<DataTreeCase> {};
 TEST_P(DataTreeOptimalityTest, MatchesExhaustiveTopologicalSearch) {
   const DataTreeCase& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout);
-  if (tree.num_nodes() > 12) GTEST_SKIP() << "exhaustive too large";
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout,
+                                  /*max_nodes=*/12);
 
   TopoTreeSearch::Options topo_options;
   topo_options.num_channels = 1;
@@ -145,8 +145,8 @@ TEST_P(DataTreeOptimalityTest, MatchesExhaustiveTopologicalSearch) {
 TEST_P(DataTreeOptimalityTest, ExtendedExchangeKeepsTheOptimum) {
   const DataTreeCase& param = GetParam();
   Rng rng(param.seed ^ 0xABCDE);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout);
-  if (tree.num_nodes() > 12) GTEST_SKIP() << "exhaustive too large";
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout,
+                                  /*max_nodes=*/12);
 
   DataTreeOptions plain;
   DataTreeOptions extended;

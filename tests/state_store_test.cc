@@ -51,7 +51,9 @@ TEST(StateStoreTest, DominanceFollowsValueThenCanonicalLex) {
 
   // End to end: on a tree full of equal-cost optima (equal weights), the
   // memoized search returns the same canonical-lex-first optimum as the
-  // search without a memo.
+  // search without a memo. Under the release-date bound this search enters
+  // no state twice, so it runs the paper's looser next-slot bound, under
+  // which the memo still hits.
   IndexTree tree;
   const NodeId root = tree.AddIndexNode(kInvalidNode, "1");
   for (int i = 0; i < 3; ++i) {
@@ -61,6 +63,7 @@ TEST(StateStoreTest, DominanceFollowsValueThenCanonicalLex) {
   ASSERT_TRUE(tree.Finalize().ok());
   TopoTreeSearch::Options options;
   options.num_channels = 2;
+  options.bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
   auto memoized = TopoTreeSearch::Create(tree, options);
   auto plain = TopoTreeSearch::Create(tree, options);
   ASSERT_TRUE(memoized.ok() && plain.ok());

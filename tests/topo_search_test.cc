@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "alloc/allocation.h"
 #include "alloc/baselines.h"
 #include "tree/builders.h"
@@ -79,8 +85,8 @@ class PrunedVsExhaustiveTest : public ::testing::TestWithParam<RandomCase> {};
 TEST_P(PrunedVsExhaustiveTest, PrunedSearchKeepsAnOptimalPath) {
   const RandomCase& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout);
-  if (tree.num_nodes() > 13) GTEST_SKIP() << "exhaustive too large";
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout,
+                                  /*max_nodes=*/13);
 
   auto exhaustive =
       TopoTreeSearch::Create(tree, MakeOptions(param.channels, false));
@@ -103,8 +109,8 @@ TEST_P(PrunedVsExhaustiveTest, PrunedSearchKeepsAnOptimalPath) {
 TEST_P(PrunedVsExhaustiveTest, BestFirstMatchesDfs) {
   const RandomCase& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout);
-  if (tree.num_nodes() > 13) GTEST_SKIP() << "exhaustive too large";
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout,
+                                  /*max_nodes=*/13);
 
   auto search = TopoTreeSearch::Create(tree, MakeOptions(param.channels, false));
   ASSERT_TRUE(search.ok());
@@ -120,8 +126,8 @@ TEST_P(PrunedVsExhaustiveTest, BestFirstMatchesDfs) {
 TEST_P(PrunedVsExhaustiveTest, PaperBoundMatchesPackedBound) {
   const RandomCase& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout);
-  if (tree.num_nodes() > 12) GTEST_SKIP() << "exhaustive too large";
+  IndexTree tree = MakeRandomTree(&rng, param.num_data, param.max_fanout,
+                                  /*max_nodes=*/12);
 
   TopoTreeSearch::Options paper_bound = MakeOptions(param.channels, true);
   paper_bound.bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
@@ -175,6 +181,145 @@ TEST(TopoSearchTest, WideChannelsMakeLevelAllocationOptimal) {
         << "Corollary 1 violated for\n"
         << tree.ToString();
   }
+}
+
+// --- the release-date bound --------------------------------------------------
+
+// Least additional weighted wait over every completion of the unpruned
+// topological tree from (mask, depth), by exhaustive recursion that never
+// consults a bound. The unpruned neighbors of a state depend on its mask
+// only, so (mask, depth) is the memo key.
+double OptimalCompletion(const TopoTreeSearch& search, uint64_t mask, int depth,
+                         std::map<std::pair<uint64_t, int>, double>* memo) {
+  if (mask == search.full_mask()) return 0.0;
+  const auto key = std::make_pair(mask, depth);
+  if (auto it = memo->find(key); it != memo->end()) return it->second;
+  std::vector<uint64_t> neighbors;
+  search.GenerateNeighbors(mask, /*last_set=*/0, &neighbors, nullptr);
+  double best = std::numeric_limits<double>::infinity();
+  for (uint64_t subset : neighbors) {
+    double weight = 0.0;
+    for (NodeId id = 0; id < search.tree().num_nodes(); ++id) {
+      if ((subset >> id & 1) != 0) weight += search.tree().weight(id);
+    }
+    best = std::min(best, weight * static_cast<double>(depth + 1) +
+                              OptimalCompletion(search, mask | subset,
+                                                depth + 1, memo));
+  }
+  (*memo)[key] = best;
+  return best;
+}
+
+TEST(ReleaseDateBoundTest, AdmissibleAndNeverBelowThePaperBound) {
+  // The best-first oracle shares LowerBound, so it cannot catch a bound that
+  // overestimates; this checks the bound against exhaustive completions.
+  uint64_t states = 0;
+  for (int channels = 2; channels <= 3; ++channels) {
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+      Rng rng(77'000 + seed);
+      IndexTree tree = MakeRandomTree(&rng, 6 + static_cast<int>(seed % 3),
+                                      2 + static_cast<int>(seed % 3),
+                                      /*max_nodes=*/12);
+      TopoTreeSearch::Options paper_options = MakeOptions(channels, false);
+      paper_options.bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
+      auto search = TopoTreeSearch::Create(tree, MakeOptions(channels, false));
+      auto paper = TopoTreeSearch::Create(tree, paper_options);
+      ASSERT_TRUE(search.ok() && paper.ok());
+      std::map<std::pair<uint64_t, int>, double> completions;
+      OptimalCompletion(*search, uint64_t{1} << tree.root(), 1, &completions);
+      for (const auto& [key, completion] : completions) {
+        const auto [mask, depth] = key;
+        const double bound = search->LowerBound(mask, depth);
+        EXPECT_LE(paper->LowerBound(mask, depth), bound)
+            << "mask " << mask << " depth " << depth << "\n" << tree.ToString();
+        EXPECT_LE(bound, completion * (1.0 + 1e-12))
+            << "mask " << mask << " depth " << depth << "\n" << tree.ToString();
+        ++states;
+      }
+    }
+  }
+  EXPECT_GT(states, 10'000u);
+}
+
+// Total weighted wait V of `slots`, accumulated exactly as the DFS does:
+// slot s (root = 0) costs its data weight times s + 1, added in slot order.
+double AccumulatedWait(const TopoTreeSearch& search,
+                       const SlotSequence& slots) {
+  double v = 0.0;
+  for (size_t s = 0; s < slots.size(); ++s) {
+    uint64_t set = 0;
+    for (NodeId id : slots[s]) set |= uint64_t{1} << id;
+    v += search.SetDataWeight(set) * static_cast<double>(s + 1);
+  }
+  return v;
+}
+
+TEST(ReleaseDateBoundTest, SeedEqualToTheOptimumKeepsTheUnseededSlots) {
+  // Real-valued weights, so V and the bound round differently; a seed equal
+  // to the optimum's own V, with no slack, must not cut the optimum.
+  int trees = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(78'000 + seed);
+    const IndexTree shape = MakeRandomTree(&rng, 6 + static_cast<int>(seed % 5),
+                                           2 + static_cast<int>(seed % 2));
+    IndexTree tree;
+    for (NodeId id = 0; id < shape.num_nodes(); ++id) {
+      if (shape.is_index(id)) {
+        tree.AddIndexNode(shape.parent(id));
+      } else {
+        tree.AddDataNode(shape.parent(id), rng.UniformDouble(0.01, 1.0));
+      }
+    }
+    ASSERT_TRUE(tree.Finalize().ok());
+    const int channels = 2 + static_cast<int>(seed % 2);
+    auto search = TopoTreeSearch::Create(tree, MakeOptions(channels, true));
+    ASSERT_TRUE(search.ok());
+    auto unseeded = search->FindOptimalDfs();
+    ASSERT_TRUE(unseeded.ok()) << unseeded.status().ToString();
+    const double optimum_v = AccumulatedWait(*search, unseeded->slots);
+    EXPECT_EQ(optimum_v / tree.total_data_weight(),
+              unseeded->average_data_wait);
+    auto seeded = search->FindOptimalDfs(optimum_v);
+    ASSERT_TRUE(seeded.ok()) << seeded.status().ToString() << "\n"
+                             << tree.ToString();
+    EXPECT_EQ(seeded->slots, unseeded->slots) << tree.ToString();
+    EXPECT_EQ(seeded->average_data_wait, unseeded->average_data_wait);
+    ++trees;
+  }
+  EXPECT_EQ(trees, 200);
+}
+
+TEST(ReleaseDateBoundTest, SixtyFourNodeTreesReachTheTopOfTheSlotWindow) {
+  // A 63-index chain: at the root its one datum has 62 unallocated
+  // ancestors, so the bound places it at relative slot 62, the window's top.
+  const IndexTree chain = MakeChainTree(63, 5.0);
+  ASSERT_EQ(chain.num_nodes(), 64);
+  auto chain_search = TopoTreeSearch::Create(chain, MakeOptions(2, true));
+  ASSERT_TRUE(chain_search.ok());
+  EXPECT_EQ(chain_search->LowerBound(uint64_t{1} << chain.root(), 1),
+            5.0 * 64);
+  auto chain_plan = chain_search->FindOptimalDfs();
+  ASSERT_TRUE(chain_plan.ok()) << chain_plan.status().ToString();
+  EXPECT_EQ(chain_plan->average_data_wait, 64.0);
+
+  // 63 data under the root on one channel: the lightest lands 62 slots
+  // after the next one. Here the bound is the optimum itself.
+  IndexTree star;
+  const NodeId root = star.AddIndexNode(kInvalidNode);
+  double expected_v = 0.0;
+  for (int i = 0; i < 63; ++i) {
+    star.AddDataNode(root, 100.0 - i);
+    expected_v += (100.0 - i) * (2 + i);
+  }
+  ASSERT_TRUE(star.Finalize().ok());
+  ASSERT_EQ(star.num_nodes(), 64);
+  auto star_search = TopoTreeSearch::Create(star, MakeOptions(1, true));
+  ASSERT_TRUE(star_search.ok());
+  EXPECT_EQ(star_search->LowerBound(uint64_t{1} << root, 1), expected_v);
+  auto star_plan = star_search->FindOptimalDfs();
+  ASSERT_TRUE(star_plan.ok()) << star_plan.status().ToString();
+  EXPECT_EQ(star_plan->average_data_wait,
+            expected_v / star.total_data_weight());
 }
 
 // --- transposition memo ------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include <chrono>
@@ -92,10 +93,16 @@ constexpr char kUsage[] =
     "                         e.g. 'delivery:sim.delivery_rate>=0.99@0.9/20'\n"
     "                         (grammar: NAME:SERIES<=|>=THRESH[@TARGET][/WIN])\n"
     "\n"
+    "a flag that the command does not read (a typo, or a flag of another\n"
+    "command) is rejected with exit code 2\n"
+    "\n"
     "exit codes: 0 ok, 1 error, 2 usage, 3 ok but the planner degraded\n"
     "(budget/deadline fired; an anytime, heuristic or stale plan was served)\n";
 
 // Parsed flag/value pairs; accepts both "--flag value" and "--flag=value".
+// Every lookup marks its flag as read, so after a command has run,
+// FirstUnread() names a flag that it never looked at (a typo or a flag
+// meant for another command).
 class FlagMap {
  public:
   static Result<FlagMap> Parse(const std::vector<std::string>& args,
@@ -128,6 +135,7 @@ class FlagMap {
   }
 
   std::optional<std::string> Get(const std::string& name) const {
+    read_.insert(name);
     auto it = values_.find(name);
     if (it == values_.end()) return std::nullopt;
     return it->second;
@@ -158,8 +166,16 @@ class FlagMap {
     return parsed;
   }
 
+  std::optional<std::string> FirstUnread() const {
+    for (const auto& [name, value] : values_) {
+      if (read_.count(name) == 0) return name;
+    }
+    return std::nullopt;
+  }
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -1285,6 +1301,17 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
   // Uninstall before snapshotting so totals are exact (workers joined, no
   // concurrent writers left).
   scope.reset();
+  // A flag the command never read is a typo or belongs to another command:
+  // reject it rather than run as if it were absent. A command that failed
+  // may have stopped before reading the rest, so its own error stands.
+  if (auto unread = flags->FirstUnread(); status.ok() && unread.has_value()) {
+    *out = "error: " +
+           InvalidArgumentError("unknown flag --" + *unread + " for `" +
+                                args[0] + "`")
+               .ToString() +
+           "\n" + kUsage;
+    return 2;
+  }
   if (status.ok() && metrics_out.has_value()) {
     status = obs::WriteMetricsJson(registry->Snapshot(), *metrics_out);
     if (status.ok()) os << "wrote metrics to " << *metrics_out << "\n";
