@@ -12,7 +12,7 @@
 #include "alloc/topo_search.h"
 #include "core/planner.h"
 #include "obs/obs.h"
-#include "sim/client_sim.h"
+#include "popsim/popsim.h"
 #include "tree/alphabetic.h"
 #include "tree/builders.h"
 #include "util/rng.h"
@@ -177,12 +177,12 @@ void BM_SimulatedQueries(benchmark::State& state) {
   options.num_channels = 2;
   options.strategy = PlanStrategy::kSorting;
   auto plan = PlanBroadcast(tree, options);
-  auto sim = ClientSimulator::Create(tree, plan->schedule);
-  Rng rng(18);
-  SimOptions sim_options;
-  sim_options.num_queries = 1000;
+  auto sim = PopulationSimulator::Create(tree, plan->schedule);
+  PopSimOptions sim_options;
+  sim_options.population.num_clients = 1000;
+  sim_options.seed = 18;
   for (auto _ : state) {
-    SimReport report = sim->Run(&rng, sim_options);
+    auto report = sim->Run(sim_options);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() * 1000);

@@ -3,7 +3,7 @@
 //
 // Sweeps the number of root copies on a mid-size Zipf catalog and reports
 // the exact expected probe wait / access time / tuning time (cross-checked
-// against Monte-Carlo simulation). Expected shape: the probe wait collapses
+// against a simulated client population). Expected shape: the probe wait collapses
 // ~1/copies while the access time only inflates with the inserted columns —
 // replicating the root buys the client a much earlier index read (it can
 // doze with certainty sooner), not a faster download of the fixed data
@@ -15,6 +15,7 @@
 
 #include "alloc/heuristics.h"
 #include "alloc/replication.h"
+#include "popsim/popsim.h"
 #include "tree/alphabetic.h"
 #include "util/rng.h"
 #include "workload/weights.h"
@@ -52,13 +53,17 @@ int main() {
       }
       bcast::ReplicatedCosts costs =
           bcast::ComputeReplicatedCosts(*tree, *program);
-      bcast::Rng sim_rng(1234);
-      bcast::ReplicatedCosts sim =
-          bcast::SimulateReplicatedAccess(*tree, *program, &sim_rng, 100'000);
+      auto sim = bcast::PopulationSimulator::Create(*tree, *program);
+      if (!sim.ok()) return 1;
+      bcast::PopSimOptions sim_options;
+      sim_options.population.num_clients = 100'000;
+      sim_options.seed = 1234;
+      auto report = sim->Run(sim_options);
+      if (!report.ok()) return 1;
       std::printf("%-7d  %-7d  %-7d  %-12.2f  %-12.2f  %-12.2f  %-10.2f\n",
                   copies, levels, program->cycle_length,
                   costs.expected_probe_wait, costs.expected_access_time,
-                  costs.expected_tuning_time, sim.expected_access_time);
+                  costs.expected_tuning_time, report->mean_access_time);
     }
     std::printf("\n");
   }

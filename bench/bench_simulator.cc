@@ -1,8 +1,8 @@
 // E7 — extension: Monte-Carlo client simulation cross-check.
 //
 // For the paper's example and for a Zipf catalog, runs the full pipeline
-// (plan -> channel assignment -> pointer materialization -> simulated client
-// accesses) and compares the empirical means against the analytic cost model
+// (plan -> channel assignment -> pointer materialization -> a simulated
+// client population) and compares the empirical means against the analytic cost model
 // of Section 2.2. Also reports the energy story from the paper's
 // introduction: tuning time (buckets listened, ~ energy) versus access time
 // (latency), i.e. how long the client can doze.
@@ -25,16 +25,22 @@ void Simulate(const bcast::IndexTree& tree, const char* name, int channels,
                 plan.status().ToString().c_str());
     return;
   }
-  auto sim = bcast::ClientSimulator::Create(tree, plan->schedule);
+  auto sim = bcast::PopulationSimulator::Create(tree, plan->schedule);
   if (!sim.ok()) {
     std::printf("%s: simulator failed: %s\n", name,
                 sim.status().ToString().c_str());
     return;
   }
-  bcast::Rng rng(0xC11E47);
-  bcast::SimOptions sim_options;
-  sim_options.num_queries = 300'000;
-  bcast::SimReport report = sim->Run(&rng, sim_options);
+  bcast::PopSimOptions sim_options;
+  sim_options.population.num_clients = 300'000;
+  sim_options.seed = 0xC11E47;
+  auto run = sim->Run(sim_options);
+  if (!run.ok()) {
+    std::printf("%s: simulation failed: %s\n", name,
+                run.status().ToString().c_str());
+    return;
+  }
+  const bcast::PopReport& report = *run;
 
   std::printf("%s  (k=%d, %s, cycle %d slots)\n", name, channels,
               bcast::PlanStrategyName(plan->strategy_used),

@@ -58,17 +58,18 @@ int main() {
                   plan.status().ToString().c_str());
       continue;
     }
-    auto sim = bcast::ClientSimulator::Create(tree, plan->schedule);
+    auto sim = bcast::PopulationSimulator::Create(tree, plan->schedule);
     if (!sim.ok()) continue;
-    bcast::Rng sim_rng(7);
-    bcast::SimOptions sim_options;
-    sim_options.num_queries = 50'000;
-    bcast::SimReport report = sim->Run(&sim_rng, sim_options);
+    bcast::PopSimOptions sim_options;
+    sim_options.population.num_clients = 50'000;
+    sim_options.seed = 7;
+    auto report = sim->Run(sim_options);
+    if (!report.ok()) continue;
     std::printf("%-10s : data wait %7.2f buckets | simulated access %7.2f | "
                 "listened %.1f buckets\n",
                 bcast::PlanStrategyName(strategy),
-                plan->costs.average_data_wait, report.mean_access_time,
-                report.mean_tuning_time);
+                plan->costs.average_data_wait, report->mean_access_time,
+                report->mean_tuning_time);
   }
 
   std::printf("\n(the exact search handles this tree in well under a second;\n"

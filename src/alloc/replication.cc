@@ -7,7 +7,6 @@
 
 #include "broadcast/schedule_builder.h"
 #include "util/check.h"
-#include "workload/query_sampler.h"
 
 namespace bcast {
 
@@ -268,32 +267,6 @@ ReplicatedCosts ComputeReplicatedCosts(const IndexTree& tree,
   costs.expected_walk_time /= length;
   costs.expected_access_time /= length;
   costs.expected_tuning_time /= length;
-  return costs;
-}
-
-ReplicatedCosts SimulateReplicatedAccess(const IndexTree& tree,
-                                         const ReplicatedProgram& program,
-                                         Rng* rng, uint64_t num_queries) {
-  BCAST_CHECK(ValidateReplicatedProgram(tree, program).ok());
-  BCAST_CHECK_GT(num_queries, uint64_t{0});
-  QuerySampler sampler(tree);
-  ReplicatedCosts costs;
-  for (uint64_t q = 0; q < num_queries; ++q) {
-    double arrival = rng->UniformDouble(0.0, program.cycle_length);
-    NodeId d = sampler.Sample(rng);
-    double probe_end = FirstRootEnd(program, std::ceil(arrival));
-    int hops = 0;
-    double done = WalkToData(tree, program, d, probe_end, &hops);
-    costs.expected_probe_wait += probe_end - arrival;
-    costs.expected_walk_time += done - probe_end;
-    costs.expected_access_time += done - arrival;
-    costs.expected_tuning_time += 2.0 + hops;
-  }
-  double n = static_cast<double>(num_queries);
-  costs.expected_probe_wait /= n;
-  costs.expected_walk_time /= n;
-  costs.expected_access_time /= n;
-  costs.expected_tuning_time /= n;
   return costs;
 }
 

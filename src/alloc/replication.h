@@ -24,7 +24,6 @@
 #include "alloc/allocation.h"
 #include "broadcast/schedule.h"
 #include "tree/index_tree.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace bcast {
@@ -72,7 +71,8 @@ Status ValidateReplicatedProgram(const IndexTree& tree,
 
 /// Exact expected costs under uniform arrival times and weight-proportional
 /// queries, following the circular pointer-walk model above (each hop takes
-/// the earliest occurrence of the next node).
+/// the earliest occurrence of the next node). The population simulator
+/// (popsim/popsim.h) on a replicated program is its Monte-Carlo cross-check.
 struct ReplicatedCosts {
   double expected_probe_wait = 0.0;   // arrival -> first usable root bucket
   double expected_walk_time = 0.0;    // root bucket -> data bucket downloaded
@@ -81,12 +81,6 @@ struct ReplicatedCosts {
 };
 ReplicatedCosts ComputeReplicatedCosts(const IndexTree& tree,
                                        const ReplicatedProgram& program);
-
-/// Monte-Carlo cross-check of ComputeReplicatedCosts: simulates `num_queries`
-/// client accesses (uniform arrival, weighted target, circular pointer walk).
-ReplicatedCosts SimulateReplicatedAccess(const IndexTree& tree,
-                                         const ReplicatedProgram& program,
-                                         Rng* rng, uint64_t num_queries);
 
 }  // namespace bcast
 

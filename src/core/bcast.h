@@ -2,7 +2,8 @@
 //
 // #include "core/bcast.h" pulls in the index-tree model, broadcast-schedule
 // substrate, all allocation algorithms (exact searches, heuristics,
-// baselines), the client simulator and the planner facade.
+// baselines), the client access protocol and its population simulator, and
+// the planner facade.
 
 #ifndef BCAST_CORE_BCAST_H_
 #define BCAST_CORE_BCAST_H_
@@ -22,6 +23,7 @@
 #include "broadcast/schedule_builder.h"  // IWYU pragma: export
 #include "core/planner.h"           // IWYU pragma: export
 #include "fault/fault_model.h"      // IWYU pragma: export
+#include "popsim/popsim.h"          // IWYU pragma: export
 #include "sim/client_sim.h"         // IWYU pragma: export
 #include "sim/server_sim.h"         // IWYU pragma: export
 #include "tree/alphabetic.h"        // IWYU pragma: export
@@ -31,7 +33,7 @@
 #include "util/status.h"            // IWYU pragma: export
 #include "verify/verifier.h"        // IWYU pragma: export
 #include "workload/frequency.h"     // IWYU pragma: export
-#include "workload/query_sampler.h" // IWYU pragma: export
+#include "workload/population.h"    // IWYU pragma: export
 #include "workload/weights.h"       // IWYU pragma: export
 
 #endif  // BCAST_CORE_BCAST_H_

@@ -38,11 +38,12 @@ uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
 // What a shard accumulates privately and the aggregation pass reads in shard
 // order — integer tallies, plus sums over the shard's own clients in id
 // order, so nothing can depend on how shards interleave across threads.
-// `sim` receives AccessOnce's fault/recovery counters and the shard's draw
-// counts; its other fields stay unused. The rest feeds the metrics registry
-// and the per-shard telemetry ticks.
+// `recovery` receives AccessOnce's fault/recovery counters. The rest feeds
+// the report, the metrics registry and the per-shard telemetry ticks.
 struct PopulationSimulator::ShardStats {
-  SimReport sim;
+  RecoveryTally recovery;
+  uint64_t rng_query_draws = 0;
+  uint64_t rng_fault_draws = 0;
   uint64_t slots_processed = 0;
   int64_t last_slot = 0;
   uint64_t succeeded = 0;
@@ -91,13 +92,13 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
       client_rngs[i] = base.Substream(RngStream::kClient, block + i);
     }
     Rng::PrepareDraws({client_rngs, width}, query_draws);
-    // The same streams a ClientSimulator::Run query under client_rngs[i]
-    // would use; a client whose model is inactive makes no fault draws.
+    // Fault draws come from the client's own kFault substream; a client
+    // whose model is inactive makes no fault draws.
     size_t faulty = 0;
     for (size_t i = 0; i < width; ++i) {
       draws[i] = sampler.DrawClient(block + i, &client_rngs[i],
                                     sim_.cycle_length());
-      stats->sim.rng_query_draws += client_rngs[i].draw_count();
+      stats->rng_query_draws += client_rngs[i].draw_count();
       const FaultModel& faults =
           draws[i].degraded ? options.degraded_faults : options.faults;
       media[i] = faults.active() ? &faults : nullptr;
@@ -114,11 +115,11 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
         Rng& fault_rng = fault_rngs[faulty++];
         FaultProcess medium(*media[i], &fault_rng);
         out = sim_.AccessOnce(draw.target, draw.arrival, &medium,
-                              options.recovery, &stats->sim);
-        stats->sim.rng_fault_draws += fault_rng.draw_count();
+                              options.recovery, &stats->recovery);
+        stats->rng_fault_draws += fault_rng.draw_count();
       } else {
         out = sim_.AccessOnce(draw.target, draw.arrival, nullptr,
-                              options.recovery, &stats->sim);
+                              options.recovery, &stats->recovery);
       }
       if (out.success) {
         ++stats->succeeded;
@@ -207,15 +208,15 @@ Result<PopReport> PopulationSimulator::Run(
   report.threads_used =
       static_cast<int>(std::min(static_cast<uint64_t>(threads), shards));
   for (const ShardStats& s : stats) {
-    report.buckets_lost += s.sim.buckets_lost;
-    report.buckets_corrupted += s.sim.buckets_corrupted;
-    report.retries += s.sim.retries;
-    report.cycle_restarts += s.sim.cycle_restarts;
-    report.sequential_scans += s.sim.sequential_scans;
+    report.buckets_lost += s.recovery.buckets_lost;
+    report.buckets_corrupted += s.recovery.buckets_corrupted;
+    report.retries += s.recovery.retries;
+    report.cycle_restarts += s.recovery.cycle_restarts;
+    report.sequential_scans += s.recovery.sequential_scans;
     report.slots_processed += s.slots_processed;
     report.last_slot = std::max(report.last_slot, s.last_slot);
-    report.rng_query_draws += s.sim.rng_query_draws;
-    report.rng_fault_draws += s.sim.rng_fault_draws;
+    report.rng_query_draws += s.rng_query_draws;
+    report.rng_fault_draws += s.rng_fault_draws;
   }
 
   double probe_sum = 0.0, data_sum = 0.0, tuning_sum = 0.0, switch_sum = 0.0;
@@ -333,11 +334,11 @@ Result<PopReport> PopulationSimulator::Run(
                                 static_cast<double>(shard.succeeded)
                           : nan);
     telemetry.Observe("popsim.shard.retries",
-                      static_cast<double>(shard.sim.retries));
+                      static_cast<double>(shard.recovery.retries));
     telemetry.Observe("popsim.shard.slots_processed",
                       static_cast<double>(shard.slots_processed));
     telemetry.Observe("popsim.shard.rng_fault_draws",
-                      static_cast<double>(shard.sim.rng_fault_draws));
+                      static_cast<double>(shard.rng_fault_draws));
     telemetry.Tick(s);
   }
   if (per_client != nullptr) *per_client = std::move(fleet);

@@ -1,8 +1,10 @@
 // Population simulator: the access protocol of Section 2.1 replayed by an
 // entire client fleet.
 //
-// A fleet driver: every client's access is one ClientSimulator::AccessOnce
-// call (sim/client_sim.h), the only implementation of the protocol. Clients
+// The repo's only Monte-Carlo client driver: every client's access is one
+// ClientSimulator::AccessOnce call (sim/client_sim.h), the only
+// implementation of the protocol. `bcastctl simulate`, `plan --simulate`,
+// the benches and the cost-model cross-checks all run a population. Clients
 // never interact — the broadcast medium is read-only and fault realizations
 // are per-client — so no shared calendar of broadcast time is needed: each
 // client runs start to finish, in id order within its shard. Only seeding
@@ -19,10 +21,11 @@
 //     from that generator, fault draws from *its* kFault substream. No draw
 //     depends on scheduling, so every per-client outcome — and the id-ordered
 //     digest over them — is identical across shard layouts and thread counts.
-//   * With the default population spec, client c is exactly one
-//     ClientSimulator::Run query under Rng Substream(kClient, c); the
-//     differential tests in tests/popsim_test.cc pin that stream derivation
-//     and the counter folding, and golden digests pin the outcomes.
+//   * Client c draws its target, then its arrival (workload/population.h),
+//     then hands AccessOnce a FaultProcess on its kFault substream. The
+//     differential tests in tests/popsim_test.cc replay that derivation
+//     client by client in a plain loop and check the outcomes and the counter
+//     folding; golden digests pin the outcomes.
 //
 // Population shape (interest mix, arrival horizon, dozing, per-client loss
 // regimes) comes from workload/population.h.
@@ -76,19 +79,20 @@ struct PopSimOptions {
   obs::TelemetryPipeline* telemetry = nullptr;
 };
 
-/// Population-level aggregates. Means and percentiles are over *successful*
-/// clients (the ClientSimulator convention); failures are visible through
+/// Population-level aggregates. Waits are in buckets (slot times). Means and
+/// percentiles are over *successful* clients; failures are visible through
 /// num_succeeded / success_rate only.
 struct PopReport {
   uint64_t num_clients = 0;
   uint64_t num_succeeded = 0;
   double success_rate = 0.0;
 
-  double mean_probe_wait = 0.0;
-  double mean_data_wait = 0.0;
-  double mean_access_time = 0.0;
-  double mean_tuning_time = 0.0;
-  double mean_switches = 0.0;
+  double mean_probe_wait = 0.0;   // arrival -> walk start (~ cycle/2)
+  double mean_data_wait = 0.0;    // walk start -> data bucket downloaded
+  double mean_access_time = 0.0;  // probe + data wait
+  double mean_tuning_time = 0.0;  // buckets actively listened to
+  double mean_switches = 0.0;     // channel hops along the pointer path
+  /// Fraction of the access time spent listening (1 - doze ratio).
   double listen_fraction = 0.0;
 
   // Nearest-rank tails over successful clients.

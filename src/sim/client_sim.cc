@@ -1,24 +1,22 @@
 #include "sim/client_sim.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "broadcast/pointers.h"
-#include "obs/obs.h"
 #include "util/check.h"
 
 namespace bcast {
 
 namespace {
 
-void RecordFault(BucketOutcome got, SimReport* report) {
+void RecordFault(BucketOutcome got, RecoveryTally* tally) {
   if (got == BucketOutcome::kLost) {
-    ++report->buckets_lost;
+    ++tally->buckets_lost;
   } else if (got == BucketOutcome::kCorrupted) {
-    ++report->buckets_corrupted;
+    ++tally->buckets_corrupted;
   }
 }
 
@@ -87,7 +85,7 @@ Result<ClientSimulator> ClientSimulator::Create(
 }
 
 ClientSimulator::ClientSimulator(const IndexTree& tree, bool replicated)
-    : tree_(tree), sampler_(tree), replicated_(replicated) {}
+    : tree_(tree), replicated_(replicated) {}
 
 void ClientSimulator::BuildPaths() {
   paths_.assign(static_cast<size_t>(tree_.num_nodes()), {});
@@ -127,7 +125,7 @@ int64_t ClientSimulator::NextCycleStart(int64_t time) const {
 ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
                                           FaultProcess* medium,
                                           const RecoveryOptions& recovery,
-                                          SimReport* report) const {
+                                          RecoveryTally* tally) const {
   ClientOutcome out;
   const int64_t cycle = cycle_length_;
   int last_channel = 0;  // the client starts on the first channel
@@ -141,7 +139,7 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
                        cycle;
   bool probe_ok = false;
   for (bool first = true; probe_slot <= probe_limit; ++probe_slot) {
-    if (!first) ++report->retries;
+    if (!first) ++tally->retries;
     first = false;
     ++out.tuning;
     out.last_slot = probe_slot;
@@ -151,7 +149,7 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
       probe_ok = true;
       break;
     }
-    RecordFault(got, report);
+    RecordFault(got, tally);
   }
   // Where the pointer walk starts. A plain client dozes to the advertised
   // next cycle start; a replicated program's probe bucket points at the next
@@ -207,10 +205,10 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
         advanced = true;
         break;
       }
-      RecordFault(got, report);
+      RecordFault(got, tally);
       ++failures;
       if (failures > recovery.max_retries_per_hop) break;
-      ++report->retries;
+      ++tally->retries;
       t = abs + 1;  // the node's next occurrence (a replica or next cycle)
     }
     if (advanced) continue;
@@ -219,7 +217,7 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
       // Backoff: the chain is broken; doze to the next cycle start and
       // restart the descent from the root.
       ++restarts;
-      ++report->cycle_restarts;
+      ++tally->cycle_restarts;
       p = NextCycleStart(out.last_slot + 1);
       hop = 0;
       continue;
@@ -231,7 +229,7 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
   // listening to every bucket, until the target arrives intact.
   int64_t scan_start = -1;
   if (finish < 0) {
-    ++report->sequential_scans;
+    ++tally->sequential_scans;
     scan_start = NextCycleStart(out.last_slot + 1);
     for (int pass = 0; pass < recovery.max_scan_passes && finish < 0; ++pass) {
       for (int c = 0; c < num_channels_ && finish < 0; ++c) {
@@ -249,7 +247,7 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
           BucketOutcome got =
               medium ? medium->Observe(c, abs) : BucketOutcome::kOk;
           if (got != BucketOutcome::kOk) {
-            RecordFault(got, report);
+            RecordFault(got, tally);
             continue;
           }
           if (grid_[static_cast<size_t>(c)]
@@ -274,87 +272,6 @@ ClientOutcome ClientSimulator::AccessOnce(NodeId target, double arrival,
   out.probe_wait = probe_ref - arrival;
   out.data_wait = static_cast<double>(finish) - probe_ref;
   return out;
-}
-
-SimReport ClientSimulator::Run(Rng* rng, const SimOptions& options) const {
-  obs::ScopedSpan span("sim.run");
-  obs::ScopedTimer timer(obs::GetHistogram("sim.run_ns"));
-  SimReport report;
-  report.num_queries = options.num_queries;
-  const double cycle = static_cast<double>(cycle_length_);
-  const uint64_t query_draws_before = rng->draw_count();
-
-  // Fault draws live on their own substream: enabling loss never perturbs
-  // query sampling, and a zero-loss run makes no fault draws at all — so it
-  // is bit-identical to the lossless simulator under the same seed.
-  Rng fault_rng = rng->Substream(RngStream::kFault);
-  const bool faulty = options.faults.active();
-
-  double probe_sum = 0.0, data_sum = 0.0, tuning_sum = 0.0, switch_sum = 0.0;
-  std::vector<double> access_times;
-  access_times.reserve(options.num_queries);
-  for (uint64_t q = 0; q < options.num_queries; ++q) {
-    NodeId target = sampler_.Sample(rng);
-    double arrival = rng->UniformDouble(0.0, cycle);
-
-    // Each query is an independent client under an independent realization
-    // of the medium (the Gilbert–Elliott chains start from stationarity).
-    FaultProcess medium(options.faults, &fault_rng);
-    ClientOutcome out = AccessOnce(target, arrival, faulty ? &medium : nullptr,
-                                   options.recovery, &report);
-    if (!out.success) continue;
-    ++report.num_succeeded;
-    probe_sum += out.probe_wait;
-    data_sum += out.data_wait;
-    tuning_sum += static_cast<double>(out.tuning);
-    switch_sum += static_cast<double>(out.switches);
-    access_times.push_back(out.probe_wait + out.data_wait);
-  }
-
-  report.success_rate =
-      options.num_queries > 0
-          ? static_cast<double>(report.num_succeeded) /
-                static_cast<double>(options.num_queries)
-          : 0.0;
-  if (report.num_succeeded > 0) {
-    const double n = static_cast<double>(report.num_succeeded);
-    report.mean_probe_wait = probe_sum / n;
-    report.mean_data_wait = data_sum / n;
-    report.mean_access_time = (probe_sum + data_sum) / n;
-    report.mean_tuning_time = tuning_sum / n;
-    report.mean_switches = switch_sum / n;
-    report.listen_fraction =
-        report.mean_access_time > 0.0
-            ? report.mean_tuning_time / report.mean_access_time
-            : 0.0;
-
-    std::sort(access_times.begin(), access_times.end());
-    auto nearest_rank = [&access_times](double quantile) {
-      size_t rank = static_cast<size_t>(
-          std::ceil(quantile * static_cast<double>(access_times.size())));
-      if (rank > 0) --rank;
-      if (rank >= access_times.size()) rank = access_times.size() - 1;
-      return access_times[rank];
-    };
-    report.p50_access_time = nearest_rank(0.50);
-    report.p95_access_time = nearest_rank(0.95);
-    report.p99_access_time = nearest_rank(0.99);
-  }
-  report.rng_query_draws = rng->draw_count() - query_draws_before;
-  report.rng_fault_draws = fault_rng.draw_count();
-
-  if (obs::MetricsEnabled()) {
-    obs::GetCounter("sim.queries").Add(report.num_queries);
-    obs::GetCounter("sim.succeeded").Add(report.num_succeeded);
-    obs::GetCounter("sim.retries").Add(report.retries);
-    obs::GetCounter("sim.cycle_restarts").Add(report.cycle_restarts);
-    obs::GetCounter("sim.sequential_scans").Add(report.sequential_scans);
-    obs::GetCounter("sim.buckets_lost").Add(report.buckets_lost);
-    obs::GetCounter("sim.buckets_corrupted").Add(report.buckets_corrupted);
-    obs::GetCounter("rng.draws.query").Add(report.rng_query_draws);
-    obs::GetCounter("rng.draws.fault").Add(report.rng_fault_draws);
-  }
-  return report;
 }
 
 }  // namespace bcast

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.h"
 #include "workload/weights.h"
 
 namespace bcast {
@@ -63,40 +62,47 @@ Result<PopulationSampler> PopulationSampler::Create(
   if (tree.num_data_nodes() < 1) {
     return InvalidArgumentError("population needs a tree with data nodes");
   }
-  return PopulationSampler(tree, spec);
+  PopulationSampler sampler(tree, spec);
+  if (!(sampler.cumulative_.back() > 0.0)) {
+    return InvalidArgumentError(
+        "population needs a positive total data weight (the tree's data "
+        "weights sum to zero)");
+  }
+  return sampler;
 }
 
 PopulationSampler::PopulationSampler(const IndexTree& tree,
                                      const PopulationSpec& spec)
-    : spec_(spec), tree_sampler_(tree) {
-  if (spec_.interest == PopulationSpec::Interest::kTreeWeights) return;
-  data_nodes_ = tree.DataNodes();
+    : spec_(spec), data_nodes_(tree.DataNodes()) {
   const int count = static_cast<int>(data_nodes_.size());
-  std::vector<double> weights =
-      spec_.interest == PopulationSpec::Interest::kZipf
-          ? ZipfWeights(count, spec_.zipf_theta)
-          : EqualWeights(count, 1.0);
+  std::vector<double> weights;
+  switch (spec_.interest) {
+    case PopulationSpec::Interest::kTreeWeights:
+      for (NodeId d : data_nodes_) weights.push_back(tree.weight(d));
+      break;
+    case PopulationSpec::Interest::kZipf:
+      weights = ZipfWeights(count, spec_.zipf_theta);
+      break;
+    case PopulationSpec::Interest::kUniform:
+      weights = EqualWeights(count, 1.0);
+      break;
+  }
   cumulative_.reserve(weights.size());
   double acc = 0.0;
   for (double w : weights) {
     acc += w;
     cumulative_.push_back(acc);
   }
-  BCAST_CHECK_GT(acc, 0.0);
 }
 
 PopulationSampler::ClientDraw PopulationSampler::DrawClient(
     uint64_t client_id, Rng* rng, int64_t cycle_length) const {
   ClientDraw draw;
   // Draw order is contractual — see the file comment.
-  if (spec_.interest == PopulationSpec::Interest::kTreeWeights) {
-    draw.target = tree_sampler_.Sample(rng);
-  } else {
-    double point = rng->UniformDouble() * cumulative_.back();
-    auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), point);
-    if (it == cumulative_.end()) --it;
-    draw.target = data_nodes_[static_cast<size_t>(it - cumulative_.begin())];
-  }
+  double point = rng->UniformDouble() * cumulative_.back();
+  auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), point);
+  if (it == cumulative_.end()) --it;
+  draw.target = data_nodes_[static_cast<size_t>(it - cumulative_.begin())];
   const double cycle = static_cast<double>(cycle_length);
   draw.arrival = rng->UniformDouble(
       0.0, static_cast<double>(spec_.arrival_horizon_cycles) * cycle);

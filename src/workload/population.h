@@ -5,12 +5,10 @@
 // that client's own Rng — derived as Substream(RngStream::kClient, client_id)
 // of the run seed — so a population is reproducible client-by-client no
 // matter how the fleet is sharded across threads. The draw order per client
-// is part of the contract with sim/client_sim.h: the query target first (one
-// engine draw), then the arrival time (one draw), then any population-model
-// extras. With the default spec (tree-weight interests, one-cycle arrival
-// horizon, no dozing) the per-client prefix is exactly what
-// ClientSimulator::Run consumes for a single query, which is what lets the
-// popsim tests hold each fleet client to a one-query ClientSimulator::Run.
+// is part of the popsim contract (popsim/popsim.h): the query target first
+// (one engine draw, an upper-bound search of the cumulative interest
+// weights), then the arrival time (one draw), then any population-model
+// extras.
 //
 // Knobs beyond the paper's uniform-arrival model:
 //   * interest mix — targets drawn by tree weight (the paper's workload), by
@@ -35,7 +33,6 @@
 #include "tree/index_tree.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "workload/query_sampler.h"
 
 namespace bcast {
 
@@ -76,7 +73,8 @@ struct PopulationSpec {
 /// tasks (each with its own per-client Rng).
 class PopulationSampler {
  public:
-  /// Errors if the spec fails Validate() or the tree has no data weight.
+  /// Errors if the spec fails Validate(), or if the tree has no data node or
+  /// its data weights sum to zero.
   static Result<PopulationSampler> Create(const IndexTree& tree,
                                           const PopulationSpec& spec);
 
@@ -96,9 +94,8 @@ class PopulationSampler {
   PopulationSampler(const IndexTree& tree, const PopulationSpec& spec);
 
   PopulationSpec spec_;
-  QuerySampler tree_sampler_;  // kTreeWeights: must match client_sim exactly
-  // kZipf / kUniform: cumulative interest weights over data_nodes_, sampled
-  // with the same one-draw upper_bound scheme as QuerySampler.
+  // Cumulative interest weights over data_nodes_ (DataNodes() order); a
+  // target is one draw scaled to the total, found by upper_bound.
   std::vector<NodeId> data_nodes_;
   std::vector<double> cumulative_;
 };

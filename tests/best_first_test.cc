@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc/topo_search.h"
+#include "param_printer.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -17,6 +18,10 @@ struct Case {
   int num_data;
   int channels;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  PrintFieldBytes(c, os, &Case::seed, &Case::num_data, &Case::channels);
+}
 
 class BestFirstPrunedTest : public ::testing::TestWithParam<Case> {};
 

@@ -842,5 +842,62 @@ TEST(CliTest, EvalVerifyAndTopRejectAFlagTheyDoNotRead) {
   std::remove(stream.c_str());
 }
 
+TEST(CliTest, ZeroWeightTreeIsRejectedByEveryCommand) {
+  // Every cost is a weight-averaged wait: a tree whose data weights sum to
+  // zero is an input error (exit 1), never a crash. A program file carries
+  // its tree's weights, so a saved program is zeroed by hand.
+  const char* kZeroTree = "(1 A:0 B:0)";
+  const std::string path = ::testing::TempDir() + "/cli_zero_weight.bcast";
+  {
+    std::ofstream file(path);
+    file << "bcast-program v1\nchannels 1\nslots 3\ntree " << kZeroTree
+         << "\nC1 1 A B\n";
+  }
+  const std::vector<std::vector<std::string>> commands = {
+      {"plan", "--tree", kZeroTree},     {"simulate", "--tree", kZeroTree},
+      {"popsim", "--tree", kZeroTree},   {"stats", "--tree", kZeroTree},
+      {"info", "--tree", kZeroTree},     {"eval", "--program", path},
+      {"simulate", "--program", path},   {"popsim", "--program", path}};
+  for (const std::vector<std::string>& command : commands) {
+    std::string out;
+    EXPECT_EQ(RunCommand(command, &out), 1) << command[0] << ": " << out;
+    EXPECT_NE(out.find("INVALID_ARGUMENT"), std::string::npos)
+        << command[0] << ": " << out;
+  }
+  std::remove(path.c_str());
+}
+
+// The line of `out` that starts with `prefix` (empty if there is none).
+std::string LineStartingWith(const std::string& out, const std::string& prefix) {
+  size_t at = out.rfind("\n" + prefix);
+  if (at == std::string::npos) return "";
+  ++at;
+  return out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(CliTest, SimulateAndPopsimPrintTheSameOutcomes) {
+  // `simulate` runs the population simulator: N queries under seed S are
+  // popsim's N clients under seed S, down to the draw counts.
+  const std::vector<std::string> common = {
+      "--tree",       kExampleTree, "--channels", "2",   "--seed",
+      "31",           "--loss-model", "bernoulli", "--loss-rate", "0.2"};
+  std::vector<std::string> simulate = {"simulate", "--queries", "4000"};
+  std::vector<std::string> popsim = {"popsim", "--clients", "4000",
+                                     "--threads", "2"};
+  simulate.insert(simulate.end(), common.begin(), common.end());
+  popsim.insert(popsim.end(), common.begin(), common.end());
+  std::string sim_out, pop_out;
+  ASSERT_EQ(RunCommand(simulate, &sim_out), 0) << sim_out;
+  ASSERT_EQ(RunCommand(popsim, &pop_out), 0) << pop_out;
+  for (const char* prefix :
+       {"success rate      : ", "mean access time  : ", "access time tail  : ",
+        "faults observed   : ", "recovery          : ",
+        "rng draws         : "}) {
+    const std::string line = LineStartingWith(sim_out, prefix);
+    EXPECT_FALSE(line.empty()) << prefix << " missing from\n" << sim_out;
+    EXPECT_EQ(line, LineStartingWith(pop_out, prefix));
+  }
+}
+
 }  // namespace
 }  // namespace bcast

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc/topo_search.h"
+#include "param_printer.h"
 #include "tree/builders.h"
 #include "util/bigint.h"
 #include "util/combinatorics.h"
@@ -115,6 +116,11 @@ struct DataTreeCase {
   int num_data;
   int max_fanout;
 };
+
+void PrintTo(const DataTreeCase& c, std::ostream* os) {
+  PrintFieldBytes(c, os, &DataTreeCase::seed, &DataTreeCase::num_data,
+                  &DataTreeCase::max_fanout);
+}
 
 class DataTreeOptimalityTest : public ::testing::TestWithParam<DataTreeCase> {};
 

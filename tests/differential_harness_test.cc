@@ -27,7 +27,8 @@
 #include "broadcast/cost.h"
 #include "broadcast/schedule_builder.h"
 #include "fault/fault_model.h"
-#include "sim/client_sim.h"
+#include "must_simulate.h"
+#include "popsim/popsim.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 #include "verify/verifier.h"
@@ -290,7 +291,7 @@ TEST(DifferentialHarnessTest, FaultInjectedSimulationLeavesScheduleVerified) {
     ASSERT_TRUE(optimal.ok()) << optimal.status().ToString();
     auto schedule = BuildScheduleFromSlots(tree, k, optimal->slots);
     ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
-    auto sim = ClientSimulator::Create(tree, *schedule);
+    auto sim = PopulationSimulator::Create(tree, *schedule);
     ASSERT_TRUE(sim.ok()) << sim.status().ToString();
 
     ChannelLossSpec spec;
@@ -303,12 +304,10 @@ TEST(DifferentialHarnessTest, FaultInjectedSimulationLeavesScheduleVerified) {
       spec.p_good_to_bad = 0.05;
       spec.p_bad_to_good = 0.4;
     }
-    SimOptions options;
-    options.num_queries = 4'000;
     auto faults = FaultModel::CreateUniform(k, spec);
     ASSERT_TRUE(faults.ok()) << faults.status().ToString();
-    options.faults = *faults;
-    SimReport report = sim->Run(&rng, options);
+    PopReport report =
+        MustSimulate(*sim, 4'000, seed * 0xA5A5A5A5u + 3, *faults);
 
     EXPECT_GT(report.success_rate, 0.9);
     EXPECT_GT(report.buckets_lost + report.buckets_corrupted, 0u);

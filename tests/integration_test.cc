@@ -1,10 +1,11 @@
 // End-to-end integration tests: index construction -> planning -> channel
 // assignment -> pointer materialization -> simulated client access, on
-// realistic scenario workloads.
+// realistic scenario workloads (a simulated client population).
 
 #include <gtest/gtest.h>
 
 #include "core/bcast.h"
+#include "must_simulate.h"
 
 namespace bcast {
 namespace {
@@ -35,12 +36,10 @@ TEST(IntegrationTest, FullPipelineSmallCatalog) {
     auto pointers = MaterializePointers(tree, plan->schedule);
     ASSERT_TRUE(pointers.ok());
 
-    auto sim = ClientSimulator::Create(tree, plan->schedule);
+    auto sim = PopulationSimulator::Create(tree, plan->schedule);
     ASSERT_TRUE(sim.ok());
-    Rng rng(1000 + static_cast<uint64_t>(channels));
-    SimOptions sim_options;
-    sim_options.num_queries = 30'000;
-    SimReport report = sim->Run(&rng, sim_options);
+    PopReport report =
+        MustSimulate(*sim, 30'000, 1000 + static_cast<uint64_t>(channels));
     EXPECT_NEAR(report.mean_data_wait, plan->costs.average_data_wait,
                 plan->costs.average_data_wait * 0.05);
   }
@@ -79,12 +78,9 @@ TEST(IntegrationTest, LargeCatalogHeuristicPipeline) {
     ASSERT_TRUE(plan.ok()) << PlanStrategyName(strategy) << ": "
                            << plan.status().ToString();
     ASSERT_TRUE(ValidateSchedule(tree, plan->schedule).ok());
-    auto sim = ClientSimulator::Create(tree, plan->schedule);
+    auto sim = PopulationSimulator::Create(tree, plan->schedule);
     ASSERT_TRUE(sim.ok());
-    Rng rng(7);
-    SimOptions sim_options;
-    sim_options.num_queries = 5'000;
-    SimReport report = sim->Run(&rng, sim_options);
+    PopReport report = MustSimulate(*sim, 5'000, 7);
     EXPECT_NEAR(report.mean_data_wait, plan->costs.average_data_wait,
                 plan->costs.average_data_wait * 0.1);
     // Zipf skew: popular items come early, so the mean data wait should be

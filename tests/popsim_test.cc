@@ -1,9 +1,10 @@
-// Population-simulator tests. The fleet driver runs every client through
+// Population-simulator tests. popsim is the only Monte-Carlo driver of
 // ClientSimulator::AccessOnce, so the differential tests check what is
-// popsim's own: each client's streams are derived exactly as a
-// ClientSimulator::Run query under the keyed kClient substream of the run
-// seed would derive them, and the per-client recovery counters and draw
-// counts fold into the report — on lossless and faulty media, plain and
+// popsim's own against a plain per-client loop: client c's keyed kClient
+// substream of the run seed draws its target and arrival, its kFault
+// substream feeds a FaultProcess, and one AccessOnce call replays its access.
+// popsim's blocked seeding, sharding and counter folding must reproduce
+// that loop outcome for outcome, on lossless and faulty media, plain and
 // replicated programs. Golden values pin the reports of those same
 // configurations, and scheduling invariance holds thread and shard counts
 // to changing only the wall clock.
@@ -65,9 +66,11 @@ ChannelLossSpec BurstSpec(double loss_bad = 0.9) {
   return spec;
 }
 
-// Runs the reference simulator once per client — each client's Rng derived
-// exactly as popsim derives it — and checks per-client outcomes and summed
-// telemetry against the population report.
+// The reference: each client replayed in a plain loop — its keyed stream
+// derived from the run seed, its target drawn by tree weight and its arrival
+// uniform over one cycle (the default population), its faults from its own
+// kFault substream — checked outcome by outcome, and in its summed recovery
+// tallies and draw counts, against the population report.
 void ExpectMatchesClientSimulatorLoop(const PopulationSimulator& popsim,
                                       const ClientSimulator& reference,
                                       const PopSimOptions& options) {
@@ -76,44 +79,50 @@ void ExpectMatchesClientSimulatorLoop(const PopulationSimulator& popsim,
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(outcomes.size(), options.population.num_clients);
 
-  SimOptions ref_options;
-  ref_options.num_queries = 1;
-  ref_options.faults = options.faults;
-  ref_options.recovery = options.recovery;
+  const IndexTree& tree = reference.tree();
+  const std::vector<NodeId> data_nodes = tree.DataNodes();
+  std::vector<double> cumulative;
+  double total = 0.0;
+  for (NodeId d : data_nodes) cumulative.push_back(total += tree.weight(d));
+  const double cycle = static_cast<double>(reference.cycle_length());
 
   const Rng base(options.seed);
-  uint64_t succeeded = 0, lost = 0, corrupted = 0, retries = 0, restarts = 0,
-           scans = 0, query_draws = 0, fault_draws = 0;
+  RecoveryTally tally;
+  uint64_t succeeded = 0, query_draws = 0, fault_draws = 0;
   for (uint64_t id = 0; id < options.population.num_clients; ++id) {
     Rng client_rng = base.Substream(RngStream::kClient, id);
-    SimReport ref = reference.Run(&client_rng, ref_options);
+    const double point = client_rng.UniformDouble() * total;
+    const size_t index = static_cast<size_t>(
+        std::upper_bound(cumulative.begin(), cumulative.end(), point) -
+        cumulative.begin());
+    const NodeId target = data_nodes[std::min(index, data_nodes.size() - 1)];
+    const double arrival = client_rng.UniformDouble(0.0, cycle);
+    query_draws += client_rng.draw_count();
+
+    Rng fault_rng = client_rng.Substream(RngStream::kFault);
+    FaultProcess medium(options.faults, &fault_rng);
+    const ClientOutcome want = reference.AccessOnce(
+        target, arrival, options.faults.active() ? &medium : nullptr,
+        options.recovery, &tally);
+    fault_draws += fault_rng.draw_count();
+
     const ClientOutcome& got = outcomes[id];
-    ASSERT_EQ(got.success, ref.num_succeeded == 1) << "client " << id;
-    if (got.success) {
-      // Bit-exact on purpose: both engines anchor waits at integral slot
-      // boundaries, so the doubles must agree exactly, not approximately.
-      ASSERT_EQ(got.probe_wait, ref.mean_probe_wait) << "client " << id;
-      ASSERT_EQ(got.data_wait, ref.mean_data_wait) << "client " << id;
-      ASSERT_EQ(static_cast<double>(got.tuning), ref.mean_tuning_time)
-          << "client " << id;
-      ASSERT_EQ(static_cast<double>(got.switches), ref.mean_switches)
-          << "client " << id;
-    }
-    succeeded += ref.num_succeeded;
-    lost += ref.buckets_lost;
-    corrupted += ref.buckets_corrupted;
-    retries += ref.retries;
-    restarts += ref.cycle_restarts;
-    scans += ref.sequential_scans;
-    query_draws += ref.rng_query_draws;
-    fault_draws += ref.rng_fault_draws;
+    ASSERT_EQ(got.success, want.success) << "client " << id;
+    // Bit-exact on purpose: both sides anchor waits at integral slot
+    // boundaries, so the doubles must agree exactly, not approximately.
+    ASSERT_EQ(got.probe_wait, want.probe_wait) << "client " << id;
+    ASSERT_EQ(got.data_wait, want.data_wait) << "client " << id;
+    ASSERT_EQ(got.tuning, want.tuning) << "client " << id;
+    ASSERT_EQ(got.switches, want.switches) << "client " << id;
+    ASSERT_EQ(got.last_slot, want.last_slot) << "client " << id;
+    if (want.success) ++succeeded;
   }
   EXPECT_EQ(report->num_succeeded, succeeded);
-  EXPECT_EQ(report->buckets_lost, lost);
-  EXPECT_EQ(report->buckets_corrupted, corrupted);
-  EXPECT_EQ(report->retries, retries);
-  EXPECT_EQ(report->cycle_restarts, restarts);
-  EXPECT_EQ(report->sequential_scans, scans);
+  EXPECT_EQ(report->buckets_lost, tally.buckets_lost);
+  EXPECT_EQ(report->buckets_corrupted, tally.buckets_corrupted);
+  EXPECT_EQ(report->retries, tally.retries);
+  EXPECT_EQ(report->cycle_restarts, tally.cycle_restarts);
+  EXPECT_EQ(report->sequential_scans, tally.sequential_scans);
   EXPECT_EQ(report->rng_query_draws, query_draws);
   EXPECT_EQ(report->rng_fault_draws, fault_draws);
 }
@@ -569,44 +578,48 @@ TEST(PopSimGoldenTest, ReportsMatchPinnedValues) {
 
 uint64_t BitsOf(double v) { return std::bit_cast<uint64_t>(v); }
 
-// A pinned SimReport: a faulty ClientSimulator::Run over a replicated
-// program, with a ladder tight enough that every rung and some terminal
-// failures occur. Doubles are compared by bit pattern.
+// A pinned report of a bursty medium over a replicated program, with a
+// ladder tight enough that every rung and some terminal failures occur. It
+// pins the fields the goldens above leave out: the means, the success rate
+// and the fault tallies. Doubles are compared by bit pattern.
 TEST(PopSimGoldenTest, ClientSimulatorReportMatchesPinnedValues) {
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2, /*root_copies=*/2);
   ASSERT_TRUE(plan.replicated.has_value());
-  auto sim = ClientSimulator::Create(tree, *plan.replicated);
+  auto sim = PopulationSimulator::Create(tree, *plan.replicated);
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
 
-  SimOptions options;
-  options.num_queries = 3000;
+  PopSimOptions options;
+  options.population.num_clients = 3000;
+  options.seed = 0x601d;
   options.faults = MustUniform(2, BurstSpec());
   options.recovery.max_retries_per_hop = 1;
   options.recovery.max_cycle_restarts = 1;
   options.recovery.max_scan_passes = 1;
-  Rng rng(0x601d);
-  SimReport r = sim->Run(&rng, options);
+  auto report = sim->Run(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const PopReport& r = *report;
 
-  EXPECT_EQ(r.num_queries, 3000u);
-  EXPECT_EQ(r.num_succeeded, 2962u);
-  EXPECT_EQ(r.buckets_lost, 3945u);
-  EXPECT_EQ(r.buckets_corrupted, 1270u);
-  EXPECT_EQ(r.retries, 4162u);
-  EXPECT_EQ(r.cycle_restarts, 556u);
-  EXPECT_EQ(r.sequential_scans, 148u);
+  EXPECT_EQ(r.num_clients, 3000u);
+  EXPECT_EQ(r.num_succeeded, 2965u);
+  EXPECT_EQ(r.buckets_lost, 3641u);
+  EXPECT_EQ(r.buckets_corrupted, 1277u);
+  EXPECT_EQ(r.retries, 3949u);
+  EXPECT_EQ(r.cycle_restarts, 535u);
+  EXPECT_EQ(r.sequential_scans, 124u);
   EXPECT_EQ(r.rng_query_draws, 6000u);
-  EXPECT_EQ(r.rng_fault_draws, 72297u);
-  EXPECT_EQ(BitsOf(r.mean_probe_wait), 0x401075851881382dull);
-  EXPECT_EQ(BitsOf(r.mean_data_wait), 0x402298494a804260ull);
-  EXPECT_EQ(BitsOf(r.mean_access_time), 0x402ad30bd6c0de77ull);
-  EXPECT_EQ(BitsOf(r.mean_tuning_time), 0x4019002c404d7088ull);
-  EXPECT_EQ(BitsOf(r.mean_switches), 0x3ff40bc11491e3ffull);
-  EXPECT_EQ(BitsOf(r.listen_fraction), 0x3fddd30bda652948ull);
-  EXPECT_EQ(BitsOf(r.success_rate), 0x3fef983c131d5acbull);
-  EXPECT_EQ(BitsOf(r.p50_access_time), 0x40271b0dcaeba136ull);
-  EXPECT_EQ(BitsOf(r.p95_access_time), 0x403c344301ec5176ull);
-  EXPECT_EQ(BitsOf(r.p99_access_time), 0x4042cfee68634cb2ull);
+  EXPECT_EQ(r.rng_fault_draws, 71880u);
+  EXPECT_EQ(r.digest, 0x7be362e6ae3fbef2ull);
+  EXPECT_EQ(BitsOf(r.mean_probe_wait), 0x400fe98377f1c581ull);
+  EXPECT_EQ(BitsOf(r.mean_data_wait), 0x4022a06bc0cc7463ull);
+  EXPECT_EQ(BitsOf(r.mean_access_time), 0x402a9acc9ec8e5c3ull);
+  EXPECT_EQ(BitsOf(r.mean_tuning_time), 0x40188b2e5d6baab2ull);
+  EXPECT_EQ(BitsOf(r.mean_switches), 0x3ff4605b2cfbc4f1ull);
+  EXPECT_EQ(BitsOf(r.listen_fraction), 0x3fdd856214715ea7ull);
+  EXPECT_EQ(BitsOf(r.success_rate), 0x3fefa06d3a06d3a0ull);
+  EXPECT_EQ(BitsOf(r.p50_access_time), 0x402734e42136b392ull);
+  EXPECT_EQ(BitsOf(r.p95_access_time), 0x403bc41810135cc4ull);
+  EXPECT_EQ(BitsOf(r.p99_access_time), 0x4042ccfb4f0dcadbull);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "alloc/heuristics.h"
 #include "alloc/optimal.h"
+#include "must_simulate.h"
+#include "popsim/popsim.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -101,15 +103,19 @@ TEST(ReplicationTest, SimulationMatchesAnalyticCosts) {
         BuildReplicatedProgram(tree, slots, 2, {.root_copies = copies});
     ASSERT_TRUE(program.ok());
     ReplicatedCosts analytic = ComputeReplicatedCosts(tree, *program);
-    Rng rng(999);
-    ReplicatedCosts simulated =
-        SimulateReplicatedAccess(tree, *program, &rng, 200'000);
-    EXPECT_NEAR(simulated.expected_probe_wait, analytic.expected_probe_wait,
+    // ComputeReplicatedCosts' Monte-Carlo cross-check: a client's probe
+    // wait runs to the end of its first root read, its data wait from there
+    // to the data bucket, and its tuning counts the probe bucket, the root
+    // and every hop — the analytic model's (2 + hops).
+    auto sim = PopulationSimulator::Create(tree, *program);
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+    PopReport simulated = MustSimulate(*sim, 200'000, 999);
+    EXPECT_NEAR(simulated.mean_probe_wait, analytic.expected_probe_wait,
                 analytic.expected_probe_wait * 0.02)
         << copies << " copies";
-    EXPECT_NEAR(simulated.expected_access_time, analytic.expected_access_time,
+    EXPECT_NEAR(simulated.mean_access_time, analytic.expected_access_time,
                 analytic.expected_access_time * 0.02);
-    EXPECT_NEAR(simulated.expected_tuning_time, analytic.expected_tuning_time,
+    EXPECT_NEAR(simulated.mean_tuning_time, analytic.expected_tuning_time,
                 0.05);
   }
 }
@@ -215,12 +221,12 @@ TEST(ReplicationTest, LevelReplicationSimulationAgrees) {
   auto program = BuildReplicatedProgram(tree, slots, 2, options);
   ASSERT_TRUE(program.ok());
   ReplicatedCosts analytic = ComputeReplicatedCosts(tree, *program);
-  Rng rng(515);
-  ReplicatedCosts simulated =
-      SimulateReplicatedAccess(tree, *program, &rng, 200'000);
-  EXPECT_NEAR(simulated.expected_access_time, analytic.expected_access_time,
+  auto sim = PopulationSimulator::Create(tree, *program);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  PopReport simulated = MustSimulate(*sim, 200'000, 515);
+  EXPECT_NEAR(simulated.mean_access_time, analytic.expected_access_time,
               analytic.expected_access_time * 0.02);
-  EXPECT_NEAR(simulated.expected_probe_wait, analytic.expected_probe_wait,
+  EXPECT_NEAR(simulated.mean_probe_wait, analytic.expected_probe_wait,
               analytic.expected_probe_wait * 0.03);
 }
 

@@ -1,3 +1,6 @@
+// The resilient client (sim/client_sim.h) under a faulty medium, driven by
+// its population simulator.
+
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -5,7 +8,8 @@
 #include "alloc/replication.h"
 #include "core/planner.h"
 #include "fault/fault_model.h"
-#include "sim/client_sim.h"
+#include "must_simulate.h"
+#include "popsim/popsim.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -39,8 +43,9 @@ ChannelLossSpec BernoulliSpec(double p, double corrupt_fraction = 0.0) {
 
 // Field-by-field exact comparison; doubles compared with == on purpose
 // (the contract under test is bit-identity, not approximation).
-void ExpectReportsIdentical(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.num_queries, b.num_queries);
+void ExpectReportsIdentical(const PopReport& a, const PopReport& b) {
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.num_clients, b.num_clients);
   EXPECT_EQ(a.mean_probe_wait, b.mean_probe_wait);
   EXPECT_EQ(a.mean_data_wait, b.mean_data_wait);
   EXPECT_EQ(a.mean_access_time, b.mean_access_time);
@@ -57,23 +62,22 @@ void ExpectReportsIdentical(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.p50_access_time, b.p50_access_time);
   EXPECT_EQ(a.p95_access_time, b.p95_access_time);
   EXPECT_EQ(a.p99_access_time, b.p99_access_time);
+  EXPECT_EQ(a.rng_query_draws, b.rng_query_draws);
+  EXPECT_EQ(a.rng_fault_draws, b.rng_fault_draws);
 }
 
 TEST(ResilientClientTest, ZeroLossConfigsAreBitIdenticalToLosslessDefault) {
   // Acceptance gate: with every loss probability at zero the fault-injected
   // simulator must reproduce the lossless simulator bit for bit under the
   // same seed — configuring (but never realizing) faults may not perturb
-  // query sampling.
+  // query sampling, and no fault draw is made.
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions lossless;
-  lossless.num_queries = 20'000;
-  Rng baseline_rng(2026);
-  SimReport baseline = sim->Run(&baseline_rng, lossless);
-  EXPECT_EQ(baseline.num_succeeded, baseline.num_queries);
+  PopReport baseline = MustSimulate(*sim, 20'000, 2026);
+  EXPECT_EQ(baseline.num_succeeded, baseline.num_clients);
   EXPECT_EQ(baseline.success_rate, 1.0);
   EXPECT_EQ(baseline.buckets_lost, 0u);
   EXPECT_EQ(baseline.retries, 0u);
@@ -86,10 +90,8 @@ TEST(ResilientClientTest, ZeroLossConfigsAreBitIdenticalToLosslessDefault) {
   zero_ge.loss_good = 0.0;
   zero_ge.loss_bad = 0.0;  // bad state exists but never faults
   for (const ChannelLossSpec& spec : {zero_bernoulli, zero_ge}) {
-    SimOptions with_model = lossless;
-    with_model.faults = MustUniform(2, spec);
-    Rng rng(2026);
-    ExpectReportsIdentical(sim->Run(&rng, with_model), baseline);
+    ExpectReportsIdentical(
+        MustSimulate(*sim, 20'000, 2026, MustUniform(2, spec)), baseline);
   }
 }
 
@@ -97,14 +99,12 @@ TEST(ResilientClientTest, DeterministicUnderFixedSeed) {
   Rng tree_rng = Rng(404).Substream(RngStream::kTree);
   IndexTree tree = MakeRandomTree(&tree_rng, 24, 3);
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 10'000;
-  options.faults = MustUniform(2, BernoulliSpec(0.15, 0.3));
-  Rng rng_a(11), rng_b(11);
-  ExpectReportsIdentical(sim->Run(&rng_a, options), sim->Run(&rng_b, options));
+  FaultModel faults = MustUniform(2, BernoulliSpec(0.15, 0.3));
+  ExpectReportsIdentical(MustSimulate(*sim, 10'000, 11, faults),
+                         MustSimulate(*sim, 10'000, 11, faults));
 }
 
 TEST(ResilientClientTest, TenPercentLossWithReplicationDeliversAtLeast99Pct) {
@@ -114,14 +114,11 @@ TEST(ResilientClientTest, TenPercentLossWithReplicationDeliversAtLeast99Pct) {
   IndexTree tree = MakeRandomTree(&tree_rng, 30, 3);
   BroadcastPlan plan = MustPlan(tree, 2, /*root_copies=*/2);
   ASSERT_TRUE(plan.replicated.has_value());
-  auto sim = ClientSimulator::Create(tree, *plan.replicated);
+  auto sim = PopulationSimulator::Create(tree, *plan.replicated);
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
 
-  SimOptions options;
-  options.num_queries = 20'000;
-  options.faults = MustUniform(2, BernoulliSpec(0.10));
-  Rng rng(909);
-  SimReport report = sim->Run(&rng, options);
+  PopReport report =
+      MustSimulate(*sim, 20'000, 909, MustUniform(2, BernoulliSpec(0.10)));
 
   EXPECT_GE(report.success_rate, 0.99);
   EXPECT_GT(report.buckets_lost, 0u);
@@ -138,14 +135,11 @@ TEST(ResilientClientTest, TenPercentLossWithReplicationDeliversAtLeast99Pct) {
 TEST(ResilientClientTest, PlainScheduleSurvivesModerateLossViaRetries) {
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 20'000;
-  options.faults = MustUniform(2, BernoulliSpec(0.10));
-  Rng rng(1337);
-  SimReport report = sim->Run(&rng, options);
+  PopReport report =
+      MustSimulate(*sim, 20'000, 1337, MustUniform(2, BernoulliSpec(0.10)));
   // Without replicas every retry waits a full cycle, but delivery still
   // succeeds almost always within the retry/restart/scan budget.
   EXPECT_GE(report.success_rate, 0.99);
@@ -158,14 +152,11 @@ TEST(ResilientClientTest, PlainScheduleSurvivesModerateLossViaRetries) {
 TEST(ResilientClientTest, CorruptionIsCountedSeparatelyFromLoss) {
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 1);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 5'000;
-  options.faults = MustUniform(1, BernoulliSpec(0.2, /*corrupt_fraction=*/1.0));
-  Rng rng(55);
-  SimReport report = sim->Run(&rng, options);
+  PopReport report = MustSimulate(
+      *sim, 5'000, 55, MustUniform(1, BernoulliSpec(0.2, /*corrupt_fraction=*/1.0)));
   EXPECT_GT(report.buckets_corrupted, 0u);
   EXPECT_EQ(report.buckets_lost, 0u);
 }
@@ -173,16 +164,14 @@ TEST(ResilientClientTest, CorruptionIsCountedSeparatelyFromLoss) {
 TEST(ResilientClientTest, HeavyLossDegradesToSequentialScan) {
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 2'000;
-  options.recovery.max_retries_per_hop = 1;
-  options.recovery.max_cycle_restarts = 0;
-  options.faults = MustUniform(2, BernoulliSpec(0.5));
-  Rng rng(77);
-  SimReport report = sim->Run(&rng, options);
+  RecoveryOptions recovery;
+  recovery.max_retries_per_hop = 1;
+  recovery.max_cycle_restarts = 0;
+  PopReport report = MustSimulate(*sim, 2'000, 77,
+                                  MustUniform(2, BernoulliSpec(0.5)), recovery);
   // Half the buckets vanish: the pointer chain breaks constantly, yet the
   // scan fallback keeps overall delivery alive.
   EXPECT_GT(report.sequential_scans, 0u);
@@ -198,22 +187,20 @@ TEST(ResilientClientTest, GilbertElliottBurstLossSurvivesScanFallback) {
   // both the restart and the scan path under bursty loss.
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 2'000;
-  options.recovery.max_retries_per_hop = 1;
-  options.recovery.max_cycle_restarts = 1;
+  RecoveryOptions recovery;
+  recovery.max_retries_per_hop = 1;
+  recovery.max_cycle_restarts = 1;
   ChannelLossSpec spec;
   spec.kind = LossModelKind::kGilbertElliott;
   spec.p_good_to_bad = 0.3;
   spec.p_bad_to_good = 0.05;
   spec.loss_good = 0.0;
   spec.loss_bad = 1.0;  // a burst wipes out every bucket until it ends
-  options.faults = MustUniform(2, spec);
-  Rng rng(2718);
-  SimReport report = sim->Run(&rng, options);
+  PopReport report =
+      MustSimulate(*sim, 2'000, 2718, MustUniform(2, spec), recovery);
   EXPECT_GT(report.cycle_restarts, 0u);
   EXPECT_GT(report.sequential_scans, 0u);
   EXPECT_GT(report.num_succeeded, 0u);
@@ -222,14 +209,11 @@ TEST(ResilientClientTest, GilbertElliottBurstLossSurvivesScanFallback) {
 TEST(ResilientClientTest, TotalLossExhaustsEveryFallback) {
   IndexTree tree = MakePaperExampleTree();
   BroadcastPlan plan = MustPlan(tree, 2);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
 
-  SimOptions options;
-  options.num_queries = 200;
-  options.faults = MustUniform(2, BernoulliSpec(1.0));
-  Rng rng(99);
-  SimReport report = sim->Run(&rng, options);
+  PopReport report =
+      MustSimulate(*sim, 200, 99, MustUniform(2, BernoulliSpec(1.0)));
   EXPECT_EQ(report.num_succeeded, 0u);
   EXPECT_EQ(report.success_rate, 0.0);
   EXPECT_GT(report.sequential_scans, 0u);
@@ -246,17 +230,14 @@ TEST(ResilientClientTest, ReplicasShortenLossyTailVersusPlainSchedule) {
   BroadcastPlan plain = MustPlan(tree, 2);
   BroadcastPlan replicated = MustPlan(tree, 2, /*root_copies=*/2);
   ASSERT_TRUE(replicated.replicated.has_value());
-  auto plain_sim = ClientSimulator::Create(tree, plain.schedule);
-  auto repl_sim = ClientSimulator::Create(tree, *replicated.replicated);
+  auto plain_sim = PopulationSimulator::Create(tree, plain.schedule);
+  auto repl_sim = PopulationSimulator::Create(tree, *replicated.replicated);
   ASSERT_TRUE(plain_sim.ok());
   ASSERT_TRUE(repl_sim.ok());
 
-  SimOptions options;
-  options.num_queries = 20'000;
-  options.faults = MustUniform(2, BernoulliSpec(0.10));
-  Rng rng_a(31), rng_b(31);
-  SimReport plain_report = plain_sim->Run(&rng_a, options);
-  SimReport repl_report = repl_sim->Run(&rng_b, options);
+  FaultModel faults = MustUniform(2, BernoulliSpec(0.10));
+  PopReport plain_report = MustSimulate(*plain_sim, 20'000, 31, faults);
+  PopReport repl_report = MustSimulate(*repl_sim, 20'000, 31, faults);
 
   double plain_cycle = static_cast<double>(plain.costs.cycle_length);
   double repl_cycle = static_cast<double>(replicated.replicated->cycle_length);

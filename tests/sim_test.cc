@@ -1,3 +1,6 @@
+// The client access protocol (sim/client_sim.h) driven by its population
+// simulator, checked against the analytic cost model of Section 2.2.
+
 #include "sim/client_sim.h"
 
 #include <gtest/gtest.h>
@@ -6,6 +9,8 @@
 #include "broadcast/cost.h"
 #include "broadcast/schedule_builder.h"
 #include "core/planner.h"
+#include "must_simulate.h"
+#include "popsim/popsim.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -26,12 +31,9 @@ TEST(ClientSimTest, ConvergesToAnalyticCostsOnPaperExample) {
   IndexTree tree = MakePaperExampleTree();
   for (int channels : {1, 2}) {
     BroadcastPlan plan = MustPlan(tree, channels);
-    auto sim = ClientSimulator::Create(tree, plan.schedule);
+    auto sim = PopulationSimulator::Create(tree, plan.schedule);
     ASSERT_TRUE(sim.ok());
-    Rng rng(515);
-    SimOptions options;
-    options.num_queries = 200'000;
-    SimReport report = sim->Run(&rng, options);
+    PopReport report = MustSimulate(*sim, 200'000, 515);
 
     EXPECT_NEAR(report.mean_data_wait, plan.costs.average_data_wait,
                 plan.costs.average_data_wait * 0.01)
@@ -53,34 +55,28 @@ TEST(ClientSimTest, ConvergesToAnalyticCostsOnPaperExample) {
 TEST(ClientSimTest, IndexedClientListensToFarFewerBucketsThanItWaits) {
   // The power-saving argument of the paper's introduction: with an index,
   // tuning time (energy) is much smaller than access time (latency).
-  // Tree generation and query sampling live on separate substreams, so
-  // changing one (e.g. simulating more queries) never reshapes the other.
-  Rng rng(616);
-  Rng tree_rng = rng.Substream(RngStream::kTree);
+  // Tree generation and the clients live on separate streams, so changing
+  // one (e.g. simulating more clients) never reshapes the other.
+  Rng tree_rng = Rng(616).Substream(RngStream::kTree);
   IndexTree tree = MakeRandomTree(&tree_rng, 30, 3);
   BroadcastPlan plan = MustPlan(tree, 2, PlanStrategy::kSorting);
-  auto sim = ClientSimulator::Create(tree, plan.schedule);
+  auto sim = PopulationSimulator::Create(tree, plan.schedule);
   ASSERT_TRUE(sim.ok());
-  SimOptions options;
-  options.num_queries = 50'000;
-  SimReport report = sim->Run(&rng, options);
+  PopReport report = MustSimulate(*sim, 50'000, 616);
   EXPECT_LT(report.mean_tuning_time, report.mean_access_time / 3.0);
 }
 
 TEST(ClientSimTest, WorksAcrossStrategiesAndChannels) {
-  Rng rng(717);
-  Rng tree_rng = rng.Substream(RngStream::kTree);
+  Rng tree_rng = Rng(717).Substream(RngStream::kTree);
   IndexTree tree = MakeRandomTree(&tree_rng, 12, 3);
   for (PlanStrategy strategy :
        {PlanStrategy::kSorting, PlanStrategy::kShrinking,
         PlanStrategy::kGreedyWeight, PlanStrategy::kPreorder}) {
     for (int channels : {1, 3}) {
       BroadcastPlan plan = MustPlan(tree, channels, strategy);
-      auto sim = ClientSimulator::Create(tree, plan.schedule);
+      auto sim = PopulationSimulator::Create(tree, plan.schedule);
       ASSERT_TRUE(sim.ok()) << PlanStrategyName(strategy);
-      SimOptions options;
-      options.num_queries = 20'000;
-      SimReport report = sim->Run(&rng, options);
+      PopReport report = MustSimulate(*sim, 20'000, 717);
       EXPECT_NEAR(report.mean_data_wait, plan.costs.average_data_wait,
                   plan.costs.average_data_wait * 0.05)
           << PlanStrategyName(strategy) << " @ " << channels << " channels";
@@ -97,6 +93,7 @@ TEST(ClientSimTest, RejectsInfeasibleSchedule) {
     ASSERT_TRUE(schedule.Place(order[i], 0, static_cast<int>(i)).ok());
   }
   EXPECT_FALSE(ClientSimulator::Create(tree, schedule).ok());
+  EXPECT_FALSE(PopulationSimulator::Create(tree, schedule).ok());
 }
 
 }  // namespace

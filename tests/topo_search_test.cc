@@ -10,6 +10,7 @@
 
 #include "alloc/allocation.h"
 #include "alloc/baselines.h"
+#include "param_printer.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 #include "workload/weights.h"
@@ -79,6 +80,11 @@ struct RandomCase {
   int max_fanout;
   int channels;
 };
+
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  PrintFieldBytes(c, os, &RandomCase::seed, &RandomCase::num_data,
+                  &RandomCase::max_fanout, &RandomCase::channels);
+}
 
 class PrunedVsExhaustiveTest : public ::testing::TestWithParam<RandomCase> {};
 

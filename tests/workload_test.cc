@@ -11,7 +11,7 @@
 
 #include "tree/builders.h"
 #include "util/rng.h"
-#include "workload/query_sampler.h"
+#include "workload/population.h"
 #include "workload/weights.h"
 
 namespace bcast {
@@ -66,12 +66,15 @@ TEST(WeightsTest, EqualWeights) {
 
 TEST(QuerySamplerTest, SamplesProportionallyToWeights) {
   IndexTree tree = MakePaperExampleTree();  // A:20 B:10 C:15 D:7 E:18
-  QuerySampler sampler(tree);
+  auto sampler = PopulationSampler::Create(tree, PopulationSpec{});
+  ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
   Rng rng(4);
   std::vector<int> hits(static_cast<size_t>(tree.num_nodes()), 0);
   const int kDraws = 70000;
   for (int i = 0; i < kDraws; ++i) {
-    NodeId d = sampler.Sample(&rng);
+    NodeId d = sampler->DrawClient(static_cast<uint64_t>(i), &rng,
+                                   /*cycle_length=*/10)
+                   .target;
     ASSERT_TRUE(tree.is_data(d));
     ++hits[static_cast<size_t>(d)];
   }
@@ -82,12 +85,15 @@ TEST(QuerySamplerTest, SamplesProportionallyToWeights) {
   }
 }
 
-TEST(QuerySamplerDeathTest, RejectsZeroTotalWeight) {
+TEST(PopulationSamplerTest, RejectsZeroTotalWeight) {
   IndexTree tree;
   NodeId root = tree.AddIndexNode(kInvalidNode, "r");
   tree.AddDataNode(root, 0.0, "z");
   ASSERT_TRUE(tree.Finalize().ok());
-  EXPECT_DEATH(QuerySampler sampler(tree), "positive total weight");
+  auto sampler = PopulationSampler::Create(tree, PopulationSpec{});
+  ASSERT_FALSE(sampler.ok());
+  EXPECT_EQ(sampler.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sampler.status().message().find("weight"), std::string::npos);
 }
 
 // --- RNG ----------------------------------------------------------------------

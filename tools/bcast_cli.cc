@@ -319,6 +319,13 @@ Result<PlanStrategy> ParseStrategy(const std::string& name) {
   return InvalidArgumentError("unknown strategy '" + name + "'");
 }
 
+// Every cost is a weight-averaged wait, undefined when the tree's data
+// weights sum to zero (PlanBroadcast rejects such a tree the same way).
+Status CheckDataWeight(const IndexTree& tree) {
+  if (tree.total_data_weight() > 0.0) return Status::Ok();
+  return InvalidArgumentError("the tree's data weights sum to zero");
+}
+
 void PrintCosts(const IndexTree& tree, const BroadcastSchedule& schedule,
                 std::ostringstream* os) {
   AccessCosts costs = ComputeAccessCosts(tree, schedule);
@@ -329,18 +336,20 @@ void PrintCosts(const IndexTree& tree, const BroadcastSchedule& schedule,
       << costs.empty_buckets << " empty buckets)\n";
 }
 
+// `plan --simulate N` / `eval --simulate N`: N clients of the default
+// population (seed 0xC11) against the planned or loaded schedule.
 Status Simulate(const IndexTree& tree, const BroadcastSchedule& schedule,
                 int queries, std::ostringstream* os) {
-  auto sim = ClientSimulator::Create(tree, schedule);
+  auto sim = PopulationSimulator::Create(tree, schedule);
   if (!sim.ok()) return sim.status();
-  Rng rng(0xC11);
-  SimOptions options;
-  options.num_queries = static_cast<uint64_t>(queries);
-  SimReport report = sim->Run(&rng, options);
+  PopSimOptions options;
+  options.population.num_clients = static_cast<uint64_t>(queries);
+  auto report = sim->Run(options);
+  if (!report.ok()) return report.status();
   *os << "simulated " << queries << " accesses: access "
-      << report.mean_access_time << ", data wait " << report.mean_data_wait
-      << ", tuning " << report.mean_tuning_time << " buckets, dozing "
-      << 100.0 * (1.0 - report.listen_fraction) << "% of the time\n";
+      << report->mean_access_time << ", data wait " << report->mean_data_wait
+      << ", tuning " << report->mean_tuning_time << " buckets, dozing "
+      << 100.0 * (1.0 - report->listen_fraction) << "% of the time\n";
   return Status::Ok();
 }
 
@@ -604,44 +613,43 @@ Status CmdSimulateAdaptive(const FlagMap& flags, std::ostringstream* os,
   return Status::Ok();
 }
 
-Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
-                   bool* degraded, const TelemetryParams& telemetry) {
-  if (flags.Get("cycles").has_value()) {
-    return CmdSimulateAdaptive(flags, os, degraded, telemetry);
-  }
-  if (telemetry.sink != nullptr) {
-    return InvalidArgumentError(
-        "--telemetry-out on simulate requires --cycles (only the "
-        "adaptive-server mode has a per-cycle stream)");
-  }
-  SimOptions sim_options;
-  auto queries = flags.GetInt("queries", 100'000);
-  if (!queries.ok()) return queries.status();
-  if (*queries < 1) return InvalidArgumentError("--queries must be >= 1");
-  sim_options.num_queries = static_cast<uint64_t>(*queries);
+// What `simulate` and `popsim` share: --seed, the recovery ladder
+// (--retries, --restarts, --scan-passes), the program under test — a saved
+// --program file, or a plan of --tree/--tree-file replicated per
+// --replicate-copies/--replicate-levels — and its --loss-* medium, all set
+// in `options`. Prints the program, strategy, replication and loss-model
+// lines. `tree` receives the index tree the simulator refers to, so it must
+// outlive the simulator. With `planner_threads`, a planned program reads
+// --threads as the planner's thread count.
+Result<PopulationSimulator> LoadClientRun(const FlagMap& flags,
+                                          bool planner_threads,
+                                          IndexTree* tree,
+                                          PopSimOptions* options,
+                                          std::ostringstream* os,
+                                          bool* degraded) {
   auto seed = flags.GetInt("seed", 0xC11);
   if (!seed.ok()) return seed.status();
-  auto retries = flags.GetInt("retries", sim_options.recovery.max_retries_per_hop);
-  auto restarts = flags.GetInt("restarts", sim_options.recovery.max_cycle_restarts);
-  auto scans = flags.GetInt("scan-passes", sim_options.recovery.max_scan_passes);
+  options->seed = static_cast<uint64_t>(*seed);
+  RecoveryOptions& recovery = options->recovery;
+  auto retries = flags.GetInt("retries", recovery.max_retries_per_hop);
+  auto restarts = flags.GetInt("restarts", recovery.max_cycle_restarts);
+  auto scans = flags.GetInt("scan-passes", recovery.max_scan_passes);
   if (!retries.ok()) return retries.status();
   if (!restarts.ok()) return restarts.status();
   if (!scans.ok()) return scans.status();
   if (*retries < 0) return InvalidArgumentError("--retries must be >= 0");
   if (*restarts < 0) return InvalidArgumentError("--restarts must be >= 0");
   if (*scans < 0) return InvalidArgumentError("--scan-passes must be >= 0");
-  sim_options.recovery.max_retries_per_hop = *retries;
-  sim_options.recovery.max_cycle_restarts = *restarts;
-  sim_options.recovery.max_scan_passes = *scans;
+  recovery.max_retries_per_hop = *retries;
+  recovery.max_cycle_restarts = *restarts;
+  recovery.max_scan_passes = *scans;
 
   auto copies = flags.GetInt("replicate-copies", 1);
   auto levels = flags.GetInt("replicate-levels", 1);
   if (!copies.ok()) return copies.status();
   if (!levels.ok()) return levels.status();
 
-  // The program under test: a saved file, or a plan built on the fly.
-  std::optional<Result<ClientSimulator>> sim;
-  IndexTree tree;
+  std::optional<Result<PopulationSimulator>> sim;
   int num_channels = 0;
   if (auto path = flags.Get("program"); path.has_value()) {
     if (*copies > 1) {
@@ -653,29 +661,31 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
     if (!text.ok()) return text.status();
     auto program = ParseProgram(*text);
     if (!program.ok()) return program.status();
-    tree = std::move(program->tree);
+    *tree = std::move(program->tree);
     num_channels = program->schedule.num_channels();
     *os << "program           : " << *path << "\n";
-    sim.emplace(ClientSimulator::Create(tree, program->schedule));
+    sim.emplace(PopulationSimulator::Create(*tree, program->schedule));
   } else {
     auto loaded = LoadTree(flags);
     if (!loaded.ok()) return loaded.status();
-    tree = std::move(loaded).value();
-    PlannerOptions options;
+    *tree = std::move(loaded).value();
+    PlannerOptions plan_options;
     auto channels = flags.GetInt("channels", 1);
     if (!channels.ok()) return channels.status();
-    options.num_channels = num_channels = *channels;
+    plan_options.num_channels = num_channels = *channels;
     auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
     if (!strategy.ok()) return strategy.status();
-    options.strategy = *strategy;
-    auto threads = LoadThreads(flags);
-    if (!threads.ok()) return threads.status();
-    options.optimal.num_threads = *threads;
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
-    BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
-    options.replication.root_copies = *copies;
-    options.replication.replicate_levels = *levels;
-    auto plan = PlanBroadcast(tree, options);
+    plan_options.strategy = *strategy;
+    if (planner_threads) {
+      auto threads = LoadThreads(flags);
+      if (!threads.ok()) return threads.status();
+      plan_options.optimal.num_threads = *threads;
+    }
+    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
+    BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
+    plan_options.replication.root_copies = *copies;
+    plan_options.replication.replicate_levels = *levels;
+    auto plan = PlanBroadcast(*tree, plan_options);
     if (!plan.ok()) return plan.status();
     *os << "strategy          : " << PlanStrategyName(plan->strategy_used)
         << "\n";
@@ -684,16 +694,16 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
       *os << "replication       : " << *copies << " copies of the top "
           << *levels << " index level(s), cycle "
           << plan->replicated->cycle_length << " slots\n";
-      sim.emplace(ClientSimulator::Create(tree, *plan->replicated));
+      sim.emplace(PopulationSimulator::Create(*tree, *plan->replicated));
     } else {
-      sim.emplace(ClientSimulator::Create(tree, plan->schedule));
+      sim.emplace(PopulationSimulator::Create(*tree, plan->schedule));
     }
   }
   if (!sim->ok()) return sim->status();
 
   auto faults = LoadFaultModel(flags, num_channels);
   if (!faults.ok()) return faults.status();
-  sim_options.faults = *faults;
+  options->faults = *faults;
   const ChannelLossSpec& spec = faults->channel(0);
   *os << "loss model        : " << LossModelKindName(spec.kind);
   if (spec.kind != LossModelKind::kNone) {
@@ -705,15 +715,18 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
   if (obs::MetricsEnabled()) {
     // Seed + per-substream draw counts (rng.draws.*) make a snapshot enough
     // to replay the run: they pin exactly which random prefix was consumed.
-    // Run() emits the query and fault streams; the tree stream is registered
-    // here so the snapshot always carries all three.
+    // The run emits the query and fault streams; the tree stream is
+    // registered here so the snapshot always carries all three.
     obs::SetMeta("seed", std::to_string(*seed));
     obs::GetCounter("rng.draws.tree").Add(0);
   }
-  Rng rng(static_cast<uint64_t>(*seed));
-  SimReport report = (*sim)->Run(&rng, sim_options);
-  *os << "queries           : " << report.num_queries << " (seed " << *seed
-      << ")\n";
+  return std::move(*sim);
+}
+
+// The outcome lines `simulate` and `popsim` share, in two groups: delivery
+// (success, mean access, access tail) and recovery (faults, ladder rungs,
+// rng draws).
+void PrintDelivery(const PopReport& report, std::ostringstream* os) {
   *os << "success rate      : " << 100.0 * report.success_rate << "% ("
       << report.num_succeeded << " delivered)\n";
   *os << "mean access time  : " << report.mean_access_time
@@ -722,9 +735,9 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
   *os << "access time tail  : p50 " << report.p50_access_time << ", p95 "
       << report.p95_access_time << ", p99 " << report.p99_access_time
       << " buckets\n";
-  *os << "mean tuning       : " << report.mean_tuning_time
-      << " buckets, dozing " << 100.0 * (1.0 - report.listen_fraction)
-      << "% of the time\n";
+}
+
+void PrintRecovery(const PopReport& report, std::ostringstream* os) {
   *os << "faults observed   : " << report.buckets_lost << " lost, "
       << report.buckets_corrupted << " corrupted\n";
   *os << "recovery          : " << report.retries << " retries, "
@@ -732,13 +745,47 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
       << report.sequential_scans << " sequential scans\n";
   *os << "rng draws         : " << report.rng_query_draws << " query, "
       << report.rng_fault_draws << " fault\n";
+}
+
+// `bcastctl simulate` without --cycles: --queries clients of the default
+// population (tree-weight targets, arrivals over one cycle), on one thread.
+Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
+                   bool* degraded, const TelemetryParams& telemetry) {
+  if (flags.Get("cycles").has_value()) {
+    return CmdSimulateAdaptive(flags, os, degraded, telemetry);
+  }
+  if (telemetry.sink != nullptr) {
+    return InvalidArgumentError(
+        "--telemetry-out on simulate requires --cycles (only the "
+        "adaptive-server mode has a per-cycle stream)");
+  }
+  PopSimOptions options;
+  auto queries = flags.GetInt("queries", 100'000);
+  if (!queries.ok()) return queries.status();
+  if (*queries < 1) return InvalidArgumentError("--queries must be >= 1");
+  options.population.num_clients = static_cast<uint64_t>(*queries);
+  IndexTree tree;
+  auto sim = LoadClientRun(flags, /*planner_threads=*/true, &tree, &options,
+                           os, degraded);
+  if (!sim.ok()) return sim.status();
+
+  auto report = sim->Run(options);
+  if (!report.ok()) return report.status();
+  *os << "queries           : " << report->num_clients << " (seed "
+      << static_cast<int>(options.seed) << ")\n";
+  PrintDelivery(*report, os);
+  *os << "mean tuning       : " << report->mean_tuning_time
+      << " buckets, dozing " << 100.0 * (1.0 - report->listen_fraction)
+      << "% of the time\n";
+  PrintRecovery(*report, os);
   return Status::Ok();
 }
 
 // `bcastctl popsim`: run a whole client population (src/popsim/) against a
-// planned or saved program. Shares the plan/program loading, loss-model and
-// recovery flags with `simulate`; adds the population shape knobs and a
-// second --degraded-* loss-flag set for the degraded client fraction.
+// planned or saved program. Shares the program loading, loss-model and
+// recovery flags with `simulate`; adds the population shape knobs, the
+// engine shape and a second --degraded-* loss-flag set for the degraded
+// client fraction.
 Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
                  const TelemetryParams& telemetry) {
   PopSimOptions options;
@@ -746,9 +793,6 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
   if (!clients.ok()) return clients.status();
   if (*clients < 1) return InvalidArgumentError("--clients must be >= 1");
   options.population.num_clients = static_cast<uint64_t>(*clients);
-  auto seed = flags.GetInt("seed", 0xC11);
-  if (!seed.ok()) return seed.status();
-  options.seed = static_cast<uint64_t>(*seed);
 
   const std::string interest = flags.Get("interest").value_or("tree");
   if (interest == "tree") {
@@ -778,21 +822,6 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
   options.population.max_doze_cycles = *doze_max;
   options.population.degraded_fraction = *degraded_fraction;
 
-  auto retries =
-      flags.GetInt("retries", options.recovery.max_retries_per_hop);
-  auto restarts =
-      flags.GetInt("restarts", options.recovery.max_cycle_restarts);
-  auto scans = flags.GetInt("scan-passes", options.recovery.max_scan_passes);
-  if (!retries.ok()) return retries.status();
-  if (!restarts.ok()) return restarts.status();
-  if (!scans.ok()) return scans.status();
-  if (*retries < 0) return InvalidArgumentError("--retries must be >= 0");
-  if (*restarts < 0) return InvalidArgumentError("--restarts must be >= 0");
-  if (*scans < 0) return InvalidArgumentError("--scan-passes must be >= 0");
-  options.recovery.max_retries_per_hop = *retries;
-  options.recovery.max_cycle_restarts = *restarts;
-  options.recovery.max_scan_passes = *scans;
-
   // Engine shape. --threads 0 = one per hardware thread; results never
   // depend on either knob (the invariance the popsim tests pin).
   auto threads = flags.GetInt("threads", 0);
@@ -809,73 +838,14 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
   options.num_threads = *threads;
   options.num_shards = *shards;
 
-  auto copies = flags.GetInt("replicate-copies", 1);
-  auto levels = flags.GetInt("replicate-levels", 1);
-  if (!copies.ok()) return copies.status();
-  if (!levels.ok()) return levels.status();
-
-  // The program under test: a saved file, or a plan built on the fly.
-  std::optional<Result<PopulationSimulator>> sim;
   IndexTree tree;
-  int num_channels = 0;
-  if (auto path = flags.Get("program"); path.has_value()) {
-    if (*copies > 1) {
-      return InvalidArgumentError(
-          "--replicate-copies needs a --tree plan (program files carry a "
-          "fixed grid)");
-    }
-    auto text = ReadFile(*path);
-    if (!text.ok()) return text.status();
-    auto program = ParseProgram(*text);
-    if (!program.ok()) return program.status();
-    tree = std::move(program->tree);
-    num_channels = program->schedule.num_channels();
-    *os << "program           : " << *path << "\n";
-    sim.emplace(PopulationSimulator::Create(tree, program->schedule));
-  } else {
-    auto loaded = LoadTree(flags);
-    if (!loaded.ok()) return loaded.status();
-    tree = std::move(loaded).value();
-    PlannerOptions plan_options;
-    auto channels = flags.GetInt("channels", 1);
-    if (!channels.ok()) return channels.status();
-    plan_options.num_channels = num_channels = *channels;
-    auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
-    if (!strategy.ok()) return strategy.status();
-    plan_options.strategy = *strategy;
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
-    BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
-    plan_options.replication.root_copies = *copies;
-    plan_options.replication.replicate_levels = *levels;
-    auto plan = PlanBroadcast(tree, plan_options);
-    if (!plan.ok()) return plan.status();
-    *os << "strategy          : " << PlanStrategyName(plan->strategy_used)
-        << "\n";
-    ReportProvenance(*plan, os, degraded);
-    if (plan->replicated.has_value()) {
-      *os << "replication       : " << *copies << " copies of the top "
-          << *levels << " index level(s), cycle "
-          << plan->replicated->cycle_length << " slots\n";
-      sim.emplace(PopulationSimulator::Create(tree, *plan->replicated));
-    } else {
-      sim.emplace(PopulationSimulator::Create(tree, plan->schedule));
-    }
-  }
-  if (!sim->ok()) return sim->status();
-
-  auto faults = LoadFaultModel(flags, num_channels);
-  if (!faults.ok()) return faults.status();
-  options.faults = *faults;
-  auto degraded_faults = LoadFaultModel(flags, num_channels, "degraded-");
+  auto sim = LoadClientRun(flags, /*planner_threads=*/false, &tree, &options,
+                           os, degraded);
+  if (!sim.ok()) return sim.status();
+  auto degraded_faults =
+      LoadFaultModel(flags, sim->num_channels(), "degraded-");
   if (!degraded_faults.ok()) return degraded_faults.status();
   options.degraded_faults = *degraded_faults;
-  const ChannelLossSpec& spec = faults->channel(0);
-  *os << "loss model        : " << LossModelKindName(spec.kind);
-  if (spec.kind != LossModelKind::kNone) {
-    *os << " (stationary loss rate " << 100.0 * spec.StationaryLossRate()
-        << "%, corrupt fraction " << 100.0 * spec.corrupt_fraction << "%)";
-  }
-  *os << "\n";
   if (options.population.degraded_fraction > 0.0) {
     const ChannelLossSpec& dspec = degraded_faults->channel(0);
     *os << "degraded clients  : "
@@ -884,10 +854,7 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
         << 100.0 * dspec.StationaryLossRate() << "%)\n";
   }
 
-  if (obs::MetricsEnabled()) {
-    obs::SetMeta("seed", std::to_string(*seed));
-    obs::GetCounter("rng.draws.tree").Add(0);
-  }
+  const std::string seed = std::to_string(static_cast<int>(options.seed));
   std::optional<obs::TelemetryPipeline> pipeline;
   if (telemetry.sink != nullptr) {
     obs::TelemetryOptions stream_options;
@@ -898,19 +865,19 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
                                  "popsim.tuning_slots"};
     stream_options.slos = telemetry.slos;
     stream_options.source = "popsim";
-    stream_options.meta["seed"] = std::to_string(*seed);
+    stream_options.meta["seed"] = seed;
     stream_options.meta["clients"] = std::to_string(*clients);
     pipeline.emplace(telemetry.sink, std::move(stream_options));
     options.telemetry = &*pipeline;
   }
   const auto start = std::chrono::steady_clock::now();
-  auto report = (*sim)->Run(options);
+  auto report = sim->Run(options);
   if (!report.ok()) return report.status();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  *os << "clients           : " << report->num_clients << " (seed " << *seed
+  *os << "clients           : " << report->num_clients << " (seed " << seed
       << ", interest " << interest << ", horizon " << *horizon
       << " cycle(s))\n";
   *os << "engine            : " << report->threads_used << " thread(s), "
@@ -922,27 +889,14 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
         << " clients/s";
   }
   *os << "\n";
-  *os << "success rate      : " << 100.0 * report->success_rate << "% ("
-      << report->num_succeeded << " delivered)\n";
-  *os << "mean access time  : " << report->mean_access_time
-      << " buckets (probe " << report->mean_probe_wait << ", data wait "
-      << report->mean_data_wait << ")\n";
-  *os << "access time tail  : p50 " << report->p50_access_time << ", p95 "
-      << report->p95_access_time << ", p99 " << report->p99_access_time
-      << " buckets\n";
+  PrintDelivery(*report, os);
   *os << "data wait tail    : p50 " << report->p50_data_wait << ", p95 "
       << report->p95_data_wait << ", p99 " << report->p99_data_wait
       << " buckets\n";
   *os << "tuning time tail  : p50 " << report->p50_tuning_time << ", p95 "
       << report->p95_tuning_time << ", p99 " << report->p99_tuning_time
       << " buckets (mean " << report->mean_tuning_time << ")\n";
-  *os << "faults observed   : " << report->buckets_lost << " lost, "
-      << report->buckets_corrupted << " corrupted\n";
-  *os << "recovery          : " << report->retries << " retries, "
-      << report->cycle_restarts << " cycle restarts, "
-      << report->sequential_scans << " sequential scans\n";
-  *os << "rng draws         : " << report->rng_query_draws << " query, "
-      << report->rng_fault_draws << " fault\n";
+  PrintRecovery(*report, os);
   char digest_hex[32];
   std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                 static_cast<unsigned long long>(report->digest));
@@ -1118,6 +1072,7 @@ Status CmdEval(const FlagMap& flags, std::ostringstream* os) {
   if (!text.ok()) return text.status();
   auto program = ParseProgram(*text);
   if (!program.ok()) return program.status();
+  BCAST_RETURN_IF_ERROR(CheckDataWeight(program->tree));
   *os << "program is feasible\n";
   *os << program->schedule.ToString(program->tree);
   PrintCosts(program->tree, program->schedule, os);
@@ -1164,6 +1119,7 @@ Status CmdVerify(const FlagMap& flags, std::ostringstream* os) {
 Status CmdInfo(const FlagMap& flags, std::ostringstream* os) {
   auto tree = LoadTree(flags);
   if (!tree.ok()) return tree.status();
+  BCAST_RETURN_IF_ERROR(CheckDataWeight(*tree));
   *os << "nodes             : " << tree->num_nodes() << " ("
       << tree->num_index_nodes() << " index, " << tree->num_data_nodes()
       << " data)\n";
