@@ -5,17 +5,20 @@
 // families, the largest of which (deep18_k2) is the hardest instance the
 // suite affords.
 //
-// Per instance it reports the deterministic expansion counts of the
-// unseeded DFS and of the DFS seeded with the SortingHeuristic incumbent
-// (exactly the seed FindOptimalAllocation installs), the best-of-repeats
-// wall time of the unseeded DFS, and its transposition-memo counters. Every
-// plan passes the AllocationVerifier, and the seeded plan must be
-// byte-identical to the unseeded one; either failure exits 1.
+// Per instance it reports `repeats` runs. Each run times the unseeded DFS
+// and counts the expansions of the unseeded DFS and of the DFS seeded with
+// the SortingHeuristic incumbent (exactly the seed FindOptimalAllocation
+// installs), plus the unseeded DFS's transposition-memo counters. A first,
+// untimed DFS must pass the AllocationVerifier, and every run's unseeded and
+// seeded plans must be byte-identical to it; either failure exits 1.
 //
 // Usage: bench_exact_search [--json[=path]] [--repeats N]
 //   --json   additionally writes the machine-readable report (schema in
-//            docs/FORMATS.md) to BENCH_exact_search.json or `path`.
+//            docs/FORMATS.md) to BENCH_exact_search.json or `path`;
+//            tools/bench_gate.py gates a fresh report against the
+//            committed one.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +41,19 @@ using bcast::AllocationResult;
 using bcast::IndexTree;
 using bcast::TopoTreeSearch;
 
+// One repeat of an instance.
+struct RunReport {
+  double seconds = 0.0;  // wall time of the unseeded DFS
+  // DFS expansion counts, unseeded vs seeded. Deterministic (the memo is
+  // cleared per call), which makes them what tools/bench_gate.py gates on.
+  uint64_t dfs_expansions_unseeded = 0;
+  uint64_t dfs_expansions_seeded = 0;
+  // Transposition-memo counters of the unseeded DFS.
+  uint64_t store_hits = 0;
+  uint64_t store_inserts = 0;
+  uint64_t store_evictions = 0;
+};
+
 struct InstanceReport {
   std::string name;
   int fanout = 0;
@@ -45,17 +61,7 @@ struct InstanceReport {
   int num_nodes = 0;
   int channels = 0;
   double adw = 0.0;
-  // DFS expansion counts, unseeded vs seeded. Deterministic, which makes
-  // them the numbers tools/check_search_regression.py gates on.
-  uint64_t dfs_expansions_unseeded = 0;
-  uint64_t dfs_expansions_seeded = 0;
-  double seeding_reduction = 0.0;  // unseeded / seeded
-  // Best-of-repeats wall time of the unseeded DFS.
-  double seconds = 0.0;
-  // Transposition-memo counters of the unseeded DFS.
-  uint64_t store_hits = 0;
-  uint64_t store_inserts = 0;
-  uint64_t store_evictions = 0;
+  std::vector<RunReport> runs;
 };
 
 double Seconds(std::chrono::steady_clock::time_point begin,
@@ -102,21 +108,6 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
   }
   double seed_v = heuristic->average_data_wait * tree.total_data_weight();
   seed_v *= 1.0 + 1e-9;
-  auto seeded = search->FindOptimalDfs(seed_v);
-  if (!seeded.ok()) {
-    std::fprintf(stderr, "seeded dfs: %s\n",
-                 seeded.status().ToString().c_str());
-    return false;
-  }
-  if (seeded->slots != reference->slots ||
-      seeded->average_data_wait != reference->average_data_wait) {
-    std::fprintf(stderr,
-                 "SEEDING VIOLATION: %s seeded DFS diverged from the unseeded "
-                 "allocation\n",
-                 name.c_str());
-    return false;
-  }
-  if (!Verified(name, tree, channels, *seeded)) return false;
 
   InstanceReport report;
   report.name = name;
@@ -125,51 +116,67 @@ bool RunInstance(const std::string& name, const IndexTree& tree, int fanout,
   report.num_nodes = tree.num_nodes();
   report.channels = channels;
   report.adw = reference->average_data_wait;
-  report.dfs_expansions_unseeded = reference->stats.nodes_expanded;
-  report.dfs_expansions_seeded = seeded->stats.nodes_expanded;
-  report.seeding_reduction =
-      seeded->stats.nodes_expanded > 0
-          ? static_cast<double>(reference->stats.nodes_expanded) /
-                static_cast<double>(seeded->stats.nodes_expanded)
-          : 0.0;
-  report.store_hits = reference->stats.store_hits;
-  report.store_inserts = reference->stats.store_inserts;
-  report.store_evictions = reference->stats.store_evictions;
-
-  // The unseeded DFS again, best of `repeats` (the runs above warmed up the
-  // search object's arenas and memo table).
-  report.seconds = -1.0;
+  // The first DFS above warmed up the search object's arenas and memo table.
   for (int rep = 0; rep < repeats; ++rep) {
     auto begin = std::chrono::steady_clock::now();
-    auto timed = search->FindOptimalDfs();
+    auto unseeded = search->FindOptimalDfs();
     auto end = std::chrono::steady_clock::now();
-    if (!timed.ok() || timed->slots != reference->slots) {
+    if (!unseeded.ok() || unseeded->slots != reference->slots) {
       std::fprintf(stderr, "dfs rerun diverged on %s\n", name.c_str());
       return false;
     }
-    const double seconds = Seconds(begin, end);
-    if (report.seconds < 0.0 || seconds < report.seconds) {
-      report.seconds = seconds;
+    auto seeded = search->FindOptimalDfs(seed_v);
+    if (!seeded.ok()) {
+      std::fprintf(stderr, "seeded dfs: %s\n",
+                   seeded.status().ToString().c_str());
+      return false;
     }
+    if (seeded->slots != reference->slots ||
+        seeded->average_data_wait != reference->average_data_wait) {
+      std::fprintf(stderr,
+                   "SEEDING VIOLATION: %s seeded DFS diverged from the "
+                   "unseeded allocation\n",
+                   name.c_str());
+      return false;
+    }
+    RunReport run;
+    run.seconds = Seconds(begin, end);
+    run.dfs_expansions_unseeded = unseeded->stats.nodes_expanded;
+    run.dfs_expansions_seeded = seeded->stats.nodes_expanded;
+    run.store_hits = unseeded->stats.store_hits;
+    run.store_inserts = unseeded->stats.store_inserts;
+    run.store_evictions = unseeded->stats.store_evictions;
+    report.runs.push_back(run);
   }
   reports->push_back(std::move(report));
   return true;
 }
 
+// One row per instance: the counts of the first run (every run carries the
+// same) and the best wall time of the runs.
 void PrintTable(const std::vector<InstanceReport>& reports) {
   std::printf("%-10s %6s %3s | %12s %12s %9s %10s %10s %10s %9s\n",
               "instance", "nodes", "k", "unseeded", "seeded", "reduction",
-              "ms", "memo-hits", "memo-ins", "memo-evict");
+              "best ms", "memo-hits", "memo-ins", "memo-evict");
   for (const InstanceReport& report : reports) {
+    const RunReport& run = report.runs.front();
+    double best = run.seconds;
+    for (const RunReport& other : report.runs) {
+      best = std::min(best, other.seconds);
+    }
+    const double reduction =
+        run.dfs_expansions_seeded > 0
+            ? static_cast<double>(run.dfs_expansions_unseeded) /
+                  static_cast<double>(run.dfs_expansions_seeded)
+            : 0.0;
     std::printf(
         "%-10s %6d %3d | %12llu %12llu %8.2fx %10.4f %10llu %10llu %9llu\n",
         report.name.c_str(), report.num_nodes, report.channels,
-        static_cast<unsigned long long>(report.dfs_expansions_unseeded),
-        static_cast<unsigned long long>(report.dfs_expansions_seeded),
-        report.seeding_reduction, report.seconds * 1e3,
-        static_cast<unsigned long long>(report.store_hits),
-        static_cast<unsigned long long>(report.store_inserts),
-        static_cast<unsigned long long>(report.store_evictions));
+        static_cast<unsigned long long>(run.dfs_expansions_unseeded),
+        static_cast<unsigned long long>(run.dfs_expansions_seeded), reduction,
+        best * 1e3, static_cast<unsigned long long>(run.store_hits),
+        static_cast<unsigned long long>(run.store_inserts),
+        static_cast<unsigned long long>(run.store_evictions));
   }
 }
 
@@ -196,20 +203,25 @@ bool WriteJson(const std::string& path,
     json.Int(report.channels);
     json.Key("adw");
     json.Double(report.adw);
-    json.Key("dfs_expansions_unseeded");
-    json.UInt(report.dfs_expansions_unseeded);
-    json.Key("dfs_expansions_seeded");
-    json.UInt(report.dfs_expansions_seeded);
-    json.Key("seeding_reduction");
-    json.Double(report.seeding_reduction);
-    json.Key("ms");
-    json.Double(report.seconds * 1e3);
-    json.Key("store_hits");
-    json.UInt(report.store_hits);
-    json.Key("store_inserts");
-    json.UInt(report.store_inserts);
-    json.Key("store_evictions");
-    json.UInt(report.store_evictions);
+    json.Key("runs");
+    json.BeginArray();
+    for (const RunReport& run : report.runs) {
+      json.BeginObject();
+      json.Key("seconds");
+      json.Double(run.seconds);
+      json.Key("dfs_expansions_unseeded");
+      json.UInt(run.dfs_expansions_unseeded);
+      json.Key("dfs_expansions_seeded");
+      json.UInt(run.dfs_expansions_seeded);
+      json.Key("store_hits");
+      json.UInt(run.store_hits);
+      json.Key("store_inserts");
+      json.UInt(run.store_inserts);
+      json.Key("store_evictions");
+      json.UInt(run.store_evictions);
+      json.EndObject();
+    }
+    json.EndArray();
     json.EndObject();
   }
   json.EndArray();
@@ -224,7 +236,6 @@ bool WriteJson(const std::string& path,
 }
 
 }  // namespace
-
 int main(int argc, char** argv) {
   bool json = false;
   std::string json_path = "BENCH_exact_search.json";

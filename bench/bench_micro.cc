@@ -195,7 +195,7 @@ BENCHMARK(BM_SimulatedQueries);
 // Custom main instead of BENCHMARK_MAIN(): `--obs` installs a live metrics
 // registry + trace recorder for the whole run, so the same binary measures
 // both the disabled-observability baseline and the instrumented cost. CI
-// diffs the two (tools/check_obs_overhead.py) to enforce the overhead budget.
+// diffs the two (tools/bench_gate.py overhead) to enforce the overhead budget.
 int main(int argc, char** argv) {
   bool obs_on = false;
   int kept = 1;

@@ -1,6 +1,6 @@
 // Population-simulation benchmark: drives src/popsim/ at fleet scale and
 // writes the committed BENCH_population_sim.json that CI's population-sim
-// job gates with tools/check_popsim_regression.py.
+// job gates with tools/bench_gate.py regression.
 //
 // Three instances cover the engine's regimes:
 //   * zipf_bernoulli_1m — the headline: one million clients, Zipf interests,
@@ -28,7 +28,7 @@
 // --telemetry[=path] wires a per-cell metrics registry + JSONL telemetry
 // pipeline into every Run (mirroring `bcastctl popsim --telemetry-out`), so
 // CI can diff a --telemetry run against a plain run with
-// tools/check_obs_overhead.py. The digest cross-check doubles as the
+// tools/bench_gate.py overhead. The digest cross-check doubles as the
 // telemetry determinism gate: outcomes must be byte-identical with the
 // stream on.
 

@@ -407,6 +407,12 @@ Result<std::vector<NodeId>> ShrinkSolveOrder(const IndexTree& tree,
     IndexTree sub;
     std::vector<NodeId> sub_to_orig;
     ExtractSubtree(tree, child, to_orig, &sub, &sub_to_orig, kInvalidNode);
+    if (!(tree.node(child).subtree_weight > 0.0)) {
+      // Nobody waits for an unweighted subtree (nor can it finalize alone):
+      // its preorder, the extraction order, is as good as any.
+      order.insert(order.end(), sub_to_orig.begin(), sub_to_orig.end());
+      continue;
+    }
     BCAST_RETURN_IF_ERROR(sub.Finalize());
     auto sub_order = ShrinkSolveOrder(sub, sub_to_orig, options, num_channels);
     if (!sub_order.ok()) return sub_order.status();

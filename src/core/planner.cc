@@ -82,11 +82,6 @@ Result<BroadcastPlan> PlanBroadcast(const IndexTree& tree,
   if (options.num_channels < 1) {
     return InvalidArgumentError("need at least one channel");
   }
-  // Every cost of the paper is a weight-averaged wait, undefined when the
-  // data weights sum to zero.
-  if (!(tree.total_data_weight() > 0.0)) {
-    return InvalidArgumentError("the tree's data weights sum to zero");
-  }
 
   obs::ScopedSpan span("plan");
   obs::ScopedTimer timer(obs::GetHistogram("plan.total_ns"));

@@ -88,9 +88,8 @@ struct BroadcastPlan {
   bool degraded = false;
 };
 
-/// Plans one broadcast cycle. InvalidArgument if the tree's data weights sum
-/// to zero; other errors propagate from the chosen algorithm (e.g. OPTIMAL on
-/// a tree over 64 nodes).
+/// Plans one broadcast cycle. Errors propagate from the chosen algorithm
+/// (e.g. OPTIMAL on a tree over 64 nodes).
 Result<BroadcastPlan> PlanBroadcast(const IndexTree& tree,
                                     const PlannerOptions& options);
 

@@ -29,7 +29,7 @@ Result<IndexTree> MakeFullBalancedTree(int fanout, int depth,
 
 /// A chain of `chain_length` index nodes ending in one data leaf — the
 /// Section 1.1 extreme case where level-per-channel allocation wastes
-/// chain_length - 1 channels.
+/// chain_length - 1 channels. `leaf_weight` must be positive and finite.
 IndexTree MakeChainTree(int chain_length, double leaf_weight);
 
 /// Random tree with `num_data` data leaves: grows by attaching children to

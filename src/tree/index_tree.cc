@@ -1,6 +1,7 @@
 #include "tree/index_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.h"
@@ -61,6 +62,12 @@ Status IndexTree::Finalize() {
   }
   if (num_data_nodes_ == 0) {
     return InvalidArgumentError("index tree has no data nodes");
+  }
+  // Every cost of the paper is a weight-averaged wait, undefined unless the
+  // data weights have a positive, finite sum (this also rejects NaN).
+  if (!std::isfinite(total_data_weight_) || total_data_weight_ <= 0.0) {
+    return InvalidArgumentError(
+        "the tree's data weights must sum to a positive finite weight");
   }
 
   // Preorder ranks, levels, subtree aggregates (iterative DFS; children are

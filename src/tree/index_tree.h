@@ -65,8 +65,9 @@ class IndexTree {
 
   /// Validates shape and computes derived fields. Errors (not crashes) on:
   /// empty tree, index node without children, data node with children,
-  /// negative weights. A finalized tree is immutable; calling Add* afterwards
-  /// is a checked failure.
+  /// negative weights, and data weights whose sum is not positive and finite
+  /// (every cost is an average weighted by them). A finalized tree is
+  /// immutable; calling Add* afterwards is a checked failure.
   Status Finalize();
 
   bool finalized() const { return finalized_; }
@@ -92,7 +93,8 @@ class IndexTree {
   /// Maximum number of nodes on any one level (Corollary 1's threshold).
   int max_level_width() const { return max_level_width_; }
 
-  /// Sum of all data-node weights (the denominator of the average data wait).
+  /// Sum of all data-node weights (the denominator of the average data
+  /// wait); positive and finite once finalized.
   double total_data_weight() const { return total_data_weight_; }
 
   /// True iff `ancestor` is a proper ancestor of `descendant`.

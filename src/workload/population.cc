@@ -62,13 +62,7 @@ Result<PopulationSampler> PopulationSampler::Create(
   if (tree.num_data_nodes() < 1) {
     return InvalidArgumentError("population needs a tree with data nodes");
   }
-  PopulationSampler sampler(tree, spec);
-  if (!(sampler.cumulative_.back() > 0.0)) {
-    return InvalidArgumentError(
-        "population needs a positive total data weight (the tree's data "
-        "weights sum to zero)");
-  }
-  return sampler;
+  return PopulationSampler(tree, spec);
 }
 
 PopulationSampler::PopulationSampler(const IndexTree& tree,

@@ -73,8 +73,7 @@ struct PopulationSpec {
 /// tasks (each with its own per-client Rng).
 class PopulationSampler {
  public:
-  /// Errors if the spec fails Validate(), or if the tree has no data node or
-  /// its data weights sum to zero.
+  /// Errors if the spec fails Validate() or the tree has no data node.
   static Result<PopulationSampler> Create(const IndexTree& tree,
                                           const PopulationSpec& spec);
 

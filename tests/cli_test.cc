@@ -69,22 +69,17 @@ TEST(CliTest, PlanRejectsBadChannelCount) {
 }
 
 TEST(CliTest, PlanRejectsBadThreadCounts) {
-  // plan still validates --threads, although the exact search it feeds is
-  // single-threaded. It also sizes the adaptive server's planner threads
-  // (>= 1) and the population simulator's (0 = hardware, at most 512).
+  // Only the adaptive server's planner (>= 1) and the population simulator
+  // (0 = hardware, at most 512) run threads. `plan`, `stats` and per-query
+  // `simulate` plan on one thread and take no --threads at all.
   std::string out;
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--threads", "0"}, &out),
-            1);
-  EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--threads=-3"}, &out),
-            1);
-  EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--threads", "two"}, &out),
-            1);
-  EXPECT_NE(out.find("expects an integer"), std::string::npos);
-  EXPECT_EQ(RunCommand({"simulate", "--tree", kExampleTree, "--threads", "0"}, &out),
-            1);
-  EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
+  for (const char* command : {"plan", "stats", "simulate"}) {
+    EXPECT_EQ(RunCommand({command, "--tree", kExampleTree, "--threads", "1"}, &out), 2)
+        << out;
+    EXPECT_NE(out.find("unknown flag --threads for `" + std::string(command) + "`"),
+              std::string::npos)
+        << out;
+  }
   EXPECT_EQ(RunCommand({"simulate", "--cycles", "2", "--threads", "0"}, &out),
             1);
   EXPECT_NE(out.find("--threads must be >= 1"), std::string::npos);
@@ -102,22 +97,6 @@ TEST(CliTest, PlanRejectsBadThreadCounts) {
                        &out),
             1);
   EXPECT_NE(out.find("--threads must be <= 512"), std::string::npos);
-}
-
-TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
-  std::string single, parallel;
-  int code = RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                         "--strategy", "optimal", "--threads", "1"},
-                        &single);
-  ASSERT_EQ(code, 0) << single;
-  code = RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                     "--strategy", "optimal", "--threads", "4"},
-                    &parallel);
-  ASSERT_EQ(code, 0) << parallel;
-  // --threads no longer changes the (single-threaded) exact search, so the
-  // output is the same character for character.
-  EXPECT_EQ(single, parallel);
-  EXPECT_NE(parallel.find("average data wait : 3.77143"), std::string::npos);
 }
 
 TEST(CliTest, PlanRejectsBadSearchTuningValues) {
@@ -410,8 +389,7 @@ TEST(CliTest, MetricsOutWritesVersionedSnapshot) {
   std::string path = ::testing::TempDir() + "/cli_metrics.json";
   std::string out;
   int code = RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                         "--strategy", "optimal", "--threads", "2",
-                         "--metrics-out", path},
+                         "--strategy", "optimal", "--metrics-out", path},
                         &out);
   EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("wrote metrics to " + path), std::string::npos);
@@ -777,10 +755,10 @@ TEST(CliTest, PopsimTelemetryKeepsDigestIdentical) {
   std::remove(path.c_str());
 }
 
-// --- flags a command never reads --------------------------------------------
+// --- flags a command does not take ------------------------------------------
 
 // Runs `args` plus a misspelled flag and expects the usage exit naming it.
-void ExpectUnreadFlagRejected(std::vector<std::string> args,
+void ExpectUnknownFlagRejected(std::vector<std::string> args,
                               const std::string& flag) {
   const std::string command = args[0];
   args.push_back("--" + flag);
@@ -794,31 +772,57 @@ void ExpectUnreadFlagRejected(std::vector<std::string> args,
 
 TEST(CliTest, PlanRejectsAFlagItDoesNotRead) {
   // The typo'd --chanels used to be ignored, planning with 2 channels.
-  ExpectUnreadFlagRejected(
+  ExpectUnknownFlagRejected(
       {"plan", "--tree", kExampleTree, "--channels", "2"}, "chanels");
 }
 
+TEST(CliTest, PlanRejectsAnUnknownFlagBeforeSavingAnything) {
+  // The flags are checked before the command runs: a typo after --save
+  // leaves no program file behind.
+  const std::string path = ::testing::TempDir() + "/cli_typo_save.bcast";
+  std::remove(path.c_str());
+  std::string out;
+  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--save", path, "--chanels", "3"},
+                       &out),
+            2)
+      << out;
+  EXPECT_NE(out.find("unknown flag --chanels for `plan`"), std::string::npos) << out;
+  EXPECT_FALSE(std::ifstream(path).good()) << path << " was written";
+}
+
+TEST(CliTest, SimulateAndPopsimRejectPlannerFlagsWithAProgram) {
+  // A saved program fixes the channels and the grid: the planner's flags
+  // have nothing to set.
+  const std::string path = ::testing::TempDir() + "/cli_program_flags.bcast";
+  std::string out;
+  ASSERT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--save", path}, &out), 0) << out;
+  ExpectUnknownFlagRejected({"simulate", "--program", path}, "channels");
+  ExpectUnknownFlagRejected({"popsim", "--program", path}, "strategy");
+  ExpectUnknownFlagRejected({"simulate", "--cycles", "2"}, "tree");
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, StatsRejectsAFlagItDoesNotRead) {
-  ExpectUnreadFlagRejected({"stats", "--tree", kExampleTree}, "chanels");
+  ExpectUnknownFlagRejected({"stats", "--tree", kExampleTree}, "chanels");
 }
 
 TEST(CliTest, InfoRejectsAFlagItDoesNotRead) {
   // --channels is a plan flag: info never reads it.
-  ExpectUnreadFlagRejected({"info", "--tree", kExampleTree}, "channels");
+  ExpectUnknownFlagRejected({"info", "--tree", kExampleTree}, "channels");
 }
 
 TEST(CliTest, SimulateRejectsAFlagItDoesNotRead) {
-  ExpectUnreadFlagRejected(
+  ExpectUnknownFlagRejected(
       {"simulate", "--tree", kExampleTree, "--queries", "100"}, "querys");
 }
 
 TEST(CliTest, AdaptiveSimulateRejectsAFlagItDoesNotRead) {
-  ExpectUnreadFlagRejected({"simulate", "--cycles", "2", "--items", "6"},
+  ExpectUnknownFlagRejected({"simulate", "--cycles", "2", "--items", "6"},
                            "item");
 }
 
 TEST(CliTest, PopsimRejectsAFlagItDoesNotRead) {
-  ExpectUnreadFlagRejected(
+  ExpectUnknownFlagRejected(
       {"popsim", "--tree", kExampleTree, "--clients", "100"}, "client");
 }
 
@@ -828,8 +832,8 @@ TEST(CliTest, EvalVerifyAndTopRejectAFlagTheyDoNotRead) {
   ASSERT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--save", path}, &out),
             0)
       << out;
-  ExpectUnreadFlagRejected({"eval", "--program", path}, "simulat");
-  ExpectUnreadFlagRejected({"verify", "--program", path}, "simulate");
+  ExpectUnknownFlagRejected({"eval", "--program", path}, "simulat");
+  ExpectUnknownFlagRejected({"verify", "--program", path}, "simulate");
 
   std::string stream = ::testing::TempDir() + "/cli_unread_flag.jsonl";
   ASSERT_EQ(RunCommand({"popsim", "--tree", kExampleTree, "--clients", "100",
@@ -837,15 +841,16 @@ TEST(CliTest, EvalVerifyAndTopRejectAFlagTheyDoNotRead) {
                        &out),
             0)
       << out;
-  ExpectUnreadFlagRejected({"top", "--replay", stream}, "windw");
+  ExpectUnknownFlagRejected({"top", "--replay", stream}, "windw");
   std::remove(path.c_str());
   std::remove(stream.c_str());
 }
 
 TEST(CliTest, ZeroWeightTreeIsRejectedByEveryCommand) {
   // Every cost is a weight-averaged wait: a tree whose data weights sum to
-  // zero is an input error (exit 1), never a crash. A program file carries
-  // its tree's weights, so a saved program is zeroed by hand.
+  // zero is an input error (exit 1), never a crash. IndexTree::Finalize
+  // rejects it as the tree is parsed. A program file carries its tree's
+  // weights, so a saved program is zeroed by hand.
   const char* kZeroTree = "(1 A:0 B:0)";
   const std::string path = ::testing::TempDir() + "/cli_zero_weight.bcast";
   {
@@ -857,11 +862,14 @@ TEST(CliTest, ZeroWeightTreeIsRejectedByEveryCommand) {
       {"plan", "--tree", kZeroTree},     {"simulate", "--tree", kZeroTree},
       {"popsim", "--tree", kZeroTree},   {"stats", "--tree", kZeroTree},
       {"info", "--tree", kZeroTree},     {"eval", "--program", path},
-      {"simulate", "--program", path},   {"popsim", "--program", path}};
+      {"simulate", "--program", path},   {"popsim", "--program", path},
+      {"verify", "--program", path}};
   for (const std::vector<std::string>& command : commands) {
     std::string out;
     EXPECT_EQ(RunCommand(command, &out), 1) << command[0] << ": " << out;
     EXPECT_NE(out.find("INVALID_ARGUMENT"), std::string::npos)
+        << command[0] << ": " << out;
+    EXPECT_NE(out.find("positive finite weight"), std::string::npos)
         << command[0] << ": " << out;
   }
   std::remove(path.c_str());

@@ -161,6 +161,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(uint64_t{200}, uint64_t{208}),
                        ::testing::Values(1, 3), ::testing::Values(0, 1)));
 
+TEST(ShrinkingHeuristicTest, PartitioningPlansAnUnweightedSubtree) {
+  // A root subtree whose items nobody asks for has no tree of its own to
+  // solve (its weights sum to zero): it is placed as it stands.
+  IndexTree tree;
+  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+  for (int g = 0; g < 3; ++g) {
+    NodeId group = tree.AddIndexNode(root, "g" + std::to_string(g));
+    for (int i = 0; i < 4; ++i) {
+      tree.AddDataNode(group, g == 1 ? 0.0 : 1.0 + i,
+                       "d" + std::to_string(g) + "_" + std::to_string(i));
+    }
+  }
+  ASSERT_TRUE(tree.Finalize().ok());
+  ShrinkOptions options;
+  options.exact_size_limit = 6;
+  options.strategy = ShrinkOptions::Strategy::kTreePartitioning;
+  for (int channels : {1, 2}) {
+    auto result = ShrinkingHeuristic(tree, channels, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(ValidateSlotSequence(tree, channels, result->slots).ok());
+  }
+}
+
 TEST(ShrinkingHeuristicTest, CombinationReordersHeavyGroupsFirst) {
   // Deterministic skew: 10 sibling groups whose weights *ascend* in key
   // order, so plain preorder is pessimal. After node combination the tree is

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tree/builders.h"
+#include "tree/tree_io.h"
 
 namespace bcast {
 namespace {
@@ -121,6 +124,24 @@ TEST(IndexTreeTest, FinalizeRejectsAllZeroTreeOfIndexOnly) {
   tree.AddIndexNode(kInvalidNode, "r");
   Status status = tree.Finalize();
   EXPECT_FALSE(status.ok());
+}
+
+TEST(IndexTreeTest, FinalizeRejectsZeroTotalWeight) {
+  auto tree = ParseTree("(1 A:0 B:0)");
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tree.status().message().find("positive finite weight"), std::string::npos);
+}
+
+TEST(IndexTreeTest, FinalizeRejectsNanWeight) {
+  IndexTree tree;
+  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+  tree.AddDataNode(root, 5.0, "a");
+  tree.AddDataNode(root, std::numeric_limits<double>::quiet_NaN(), "b");
+  Status status = tree.Finalize();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("positive finite weight"), std::string::npos);
 }
 
 TEST(IndexTreeTest, DataRootIsAllowed) {

@@ -86,14 +86,15 @@ TEST(QuerySamplerTest, SamplesProportionallyToWeights) {
 }
 
 TEST(PopulationSamplerTest, RejectsZeroTotalWeight) {
+  // A sampler draws from a finalized tree, and Finalize already rejects a
+  // tree whose data weights sum to zero.
   IndexTree tree;
   NodeId root = tree.AddIndexNode(kInvalidNode, "r");
   tree.AddDataNode(root, 0.0, "z");
-  ASSERT_TRUE(tree.Finalize().ok());
-  auto sampler = PopulationSampler::Create(tree, PopulationSpec{});
-  ASSERT_FALSE(sampler.ok());
-  EXPECT_EQ(sampler.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(sampler.status().message().find("weight"), std::string::npos);
+  Status status = tree.Finalize();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("positive finite weight"), std::string::npos);
 }
 
 // --- RNG ----------------------------------------------------------------------

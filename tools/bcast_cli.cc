@@ -11,7 +11,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include <chrono>
 #include <cstdio>
@@ -32,14 +34,14 @@ constexpr char kUsage[] =
     "usage:\n"
     "  bcastctl plan --tree <s-expr>|--tree-file <path> [--channels k]\n"
     "                [--strategy auto|optimal|sorting|shrinking|level|\n"
-    "                 preorder|greedy-weight] [--threads N] [--simulate N]\n"
+    "                 preorder|greedy-weight] [--simulate N]\n"
     "                [--bound paper-next-slot|packed]\n"
     "                [--seed-incumbent none|heuristic|previous]\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade off|anytime|heuristic]\n"
     "                [--save <path>]\n"
     "  bcastctl simulate --tree <s-expr>|--tree-file <path>|--program <path>\n"
-    "                [--channels k] [--strategy ...] [--threads N]\n"
+    "                [--channels k] [--strategy ...]\n"
     "                [--bound ...] [--seed-incumbent ...]\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade ...]\n"
@@ -93,22 +95,94 @@ constexpr char kUsage[] =
     "                         e.g. 'delivery:sim.delivery_rate>=0.99@0.9/20'\n"
     "                         (grammar: NAME:SERIES<=|>=THRESH[@TARGET][/WIN])\n"
     "\n"
-    "a flag that the command does not read (a typo, or a flag of another\n"
-    "command) is rejected with exit code 2\n"
+    "a flag that the command does not take (a typo, or a flag of another\n"
+    "command) is rejected with exit code 2 before the command runs\n"
     "\n"
     "exit codes: 0 ok, 1 error, 2 usage, 3 ok but the planner degraded\n"
     "(budget/deadline fired; an anytime, heuristic or stale plan was served)\n";
 
-// Parsed flag/value pairs; accepts both "--flag value" and "--flag=value".
-// Every lookup marks its flag as read, so after a command has run,
-// FirstUnread() names a flag that it never looked at (a typo or a flag
-// meant for another command).
+// Flags every command takes: RunCli's observability brackets and telemetry
+// stream (the commands that cannot stream reject --telemetry-out themselves).
+constexpr std::string_view kCommonFlags[] = {"metrics-out", "trace-out", "telemetry-out",
+                                             "slo"};
+constexpr std::string_view kTreeFlags[] = {"tree", "tree-file"};
+constexpr std::string_view kPlanFlags[] = {
+    "channels", "strategy", "bound", "seed-incumbent", "plan-budget-expansions",
+    "plan-deadline-ms", "degrade"};
+constexpr std::string_view kLossFlags[] = {
+    "loss-model", "loss-rate", "corrupt-fraction", "ge-good-to-bad", "ge-bad-to-good",
+    "ge-loss-good", "ge-loss-bad"};
+// What `simulate` and `popsim` share (LoadClientRun), beside a program source.
+constexpr std::string_view kClientRunFlags[] = {
+    "seed", "retries", "restarts", "scan-passes", "replicate-copies", "replicate-levels"};
+constexpr std::string_view kAdaptiveFlags[] = {
+    "cycles", "items", "queries-per-cycle", "replan-every", "estimator-decay",
+    "drift-every", "seed", "channels", "strategy", "threads",
+    "plan-budget-expansions", "plan-deadline-ms", "degrade"};
+constexpr std::string_view kPopSimFlags[] = {
+    "clients", "interest", "zipf-theta", "horizon-cycles", "doze-fraction",
+    "doze-max-cycles", "degraded-fraction", "threads", "shards"};
+
+// The flags `command` takes when called with the flags `given`: `simulate
+// --cycles` is a mode of its own, and `simulate` and `popsim` take the
+// planner's flags only when they plan a --tree rather than load a
+// --program. std::nullopt for an unknown command.
+std::optional<std::set<std::string>> CommandFlags(
+    const std::string& command,
+    const std::map<std::string, std::string>& given) {
+  std::set<std::string> flags;
+  auto add = [&flags](std::span<const std::string_view> names,
+                      std::string_view prefix = "") {
+    for (std::string_view name : names) {
+      flags.insert(std::string(prefix) + std::string(name));
+    }
+  };
+  add(kCommonFlags);
+  if (command == "plan" || command == "stats") {
+    add(kTreeFlags);
+    add(kPlanFlags);
+    flags.insert({"simulate", "save"});
+  } else if (command == "simulate" && given.count("cycles") != 0) {
+    add(kAdaptiveFlags);
+    add(kLossFlags);
+  } else if (command == "simulate" || command == "popsim") {
+    add(kClientRunFlags);
+    add(kLossFlags);
+    if (given.count("program") != 0) {
+      flags.insert("program");
+    } else {
+      add(kTreeFlags);
+      add(kPlanFlags);
+    }
+    if (command == "simulate") {
+      flags.insert("queries");
+    } else {
+      add(kPopSimFlags);
+      add(kLossFlags, "degraded-");
+    }
+  } else if (command == "info") {
+    add(kTreeFlags);
+  } else if (command == "eval") {
+    flags.insert({"program", "simulate"});
+  } else if (command == "verify") {
+    flags.insert("program");
+  } else if (command == "top") {
+    flags.insert({"replay", "window"});
+  } else {
+    return std::nullopt;
+  }
+  return flags;
+}
+
+// Parsed flag/value pairs of the command `args[0]`; accepts both "--flag
+// value" and "--flag=value". Parse rejects an unknown command and any flag
+// the command does not take (a typo, or a flag meant for another command),
+// so no command runs with a flag silently ignored.
 class FlagMap {
  public:
-  static Result<FlagMap> Parse(const std::vector<std::string>& args,
-                               size_t start) {
+  static Result<FlagMap> Parse(const std::vector<std::string>& args) {
     FlagMap flags;
-    for (size_t i = start; i < args.size(); ++i) {
+    for (size_t i = 1; i < args.size(); ++i) {
       if (args[i].rfind("--", 0) != 0) {
         return InvalidArgumentError("expected a --flag, got '" + args[i] + "'");
       }
@@ -131,11 +205,20 @@ class FlagMap {
       flags.values_[name] = args[i + 1];
       ++i;
     }
+    auto accepted = CommandFlags(args[0], flags.values_);
+    if (!accepted.has_value()) {
+      return InvalidArgumentError("unknown command '" + args[0] + "'");
+    }
+    for (const auto& [name, value] : flags.values_) {
+      if (accepted->count(name) == 0) {
+        return InvalidArgumentError("unknown flag --" + name + " for `" +
+                                    args[0] + "`");
+      }
+    }
     return flags;
   }
 
   std::optional<std::string> Get(const std::string& name) const {
-    read_.insert(name);
     auto it = values_.find(name);
     if (it == values_.end()) return std::nullopt;
     return it->second;
@@ -166,16 +249,8 @@ class FlagMap {
     return parsed;
   }
 
-  std::optional<std::string> FirstUnread() const {
-    for (const auto& [name, value] : values_) {
-      if (read_.count(name) == 0) return name;
-    }
-    return std::nullopt;
-  }
-
  private:
   std::map<std::string, std::string> values_;
-  mutable std::set<std::string> read_;
 };
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -201,21 +276,6 @@ Result<IndexTree> LoadTree(const FlagMap& flags) {
     text = *contents;
   }
   return ParseTree(text);
-}
-
-// --threads: planner threads of the adaptive server. `plan` and `simulate`
-// still accept and validate it and pass it on as OptimalOptions::num_threads,
-// which no longer changes the (single-threaded) exact search. The CLI requires an
-// explicit positive count (no 0-means-hardware shorthand: a script that says
-// 0 almost certainly meant to disable parallelism, not max it out).
-Result<int> LoadThreads(const FlagMap& flags) {
-  auto threads = flags.GetInt("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (*threads < 1) {
-    return InvalidArgumentError("--threads must be >= 1, got " +
-                                std::to_string(*threads));
-  }
-  return *threads;
 }
 
 // --bound / --seed-incumbent: tuning knobs for the exact topological-tree
@@ -319,13 +379,6 @@ Result<PlanStrategy> ParseStrategy(const std::string& name) {
   return InvalidArgumentError("unknown strategy '" + name + "'");
 }
 
-// Every cost is a weight-averaged wait, undefined when the tree's data
-// weights sum to zero (PlanBroadcast rejects such a tree the same way).
-Status CheckDataWeight(const IndexTree& tree) {
-  if (tree.total_data_weight() > 0.0) return Status::Ok();
-  return InvalidArgumentError("the tree's data weights sum to zero");
-}
-
 void PrintCosts(const IndexTree& tree, const BroadcastSchedule& schedule,
                 std::ostringstream* os) {
   AccessCosts costs = ComputeAccessCosts(tree, schedule);
@@ -364,9 +417,6 @@ Status CmdPlan(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
   auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
   if (!strategy.ok()) return strategy.status();
   options.strategy = *strategy;
-  auto threads = LoadThreads(flags);
-  if (!threads.ok()) return threads.status();
-  options.optimal.num_threads = *threads;
   BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
   BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
 
@@ -534,8 +584,15 @@ Status CmdSimulateAdaptive(const FlagMap& flags, std::ostringstream* os,
   auto strategy = ParseStrategy(flags.Get("strategy").value_or("sorting"));
   if (!strategy.ok()) return strategy.status();
   options.strategy = *strategy;
-  auto threads = LoadThreads(flags);
+  // --threads: the planner's threads. The CLI requires an explicit positive
+  // count (no 0-means-hardware shorthand: a script that says 0 almost
+  // certainly meant to disable parallelism, not max it out).
+  auto threads = flags.GetInt("threads", 1);
   if (!threads.ok()) return threads.status();
+  if (*threads < 1) {
+    return InvalidArgumentError("--threads must be >= 1, got " +
+                                std::to_string(*threads));
+  }
   options.planner_threads = *threads;
   PlannerOptions budget;  // LoadPlanBudget's flag surface, reused verbatim
   BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &budget));
@@ -619,10 +676,8 @@ Status CmdSimulateAdaptive(const FlagMap& flags, std::ostringstream* os,
 // --replicate-copies/--replicate-levels — and its --loss-* medium, all set
 // in `options`. Prints the program, strategy, replication and loss-model
 // lines. `tree` receives the index tree the simulator refers to, so it must
-// outlive the simulator. With `planner_threads`, a planned program reads
-// --threads as the planner's thread count.
+// outlive the simulator.
 Result<PopulationSimulator> LoadClientRun(const FlagMap& flags,
-                                          bool planner_threads,
                                           IndexTree* tree,
                                           PopSimOptions* options,
                                           std::ostringstream* os,
@@ -676,11 +731,6 @@ Result<PopulationSimulator> LoadClientRun(const FlagMap& flags,
     auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
     if (!strategy.ok()) return strategy.status();
     plan_options.strategy = *strategy;
-    if (planner_threads) {
-      auto threads = LoadThreads(flags);
-      if (!threads.ok()) return threads.status();
-      plan_options.optimal.num_threads = *threads;
-    }
     BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
     plan_options.replication.root_copies = *copies;
@@ -765,8 +815,7 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
   if (*queries < 1) return InvalidArgumentError("--queries must be >= 1");
   options.population.num_clients = static_cast<uint64_t>(*queries);
   IndexTree tree;
-  auto sim = LoadClientRun(flags, /*planner_threads=*/true, &tree, &options,
-                           os, degraded);
+  auto sim = LoadClientRun(flags, &tree, &options, os, degraded);
   if (!sim.ok()) return sim.status();
 
   auto report = sim->Run(options);
@@ -839,8 +888,7 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
   options.num_shards = *shards;
 
   IndexTree tree;
-  auto sim = LoadClientRun(flags, /*planner_threads=*/false, &tree, &options,
-                           os, degraded);
+  auto sim = LoadClientRun(flags, &tree, &options, os, degraded);
   if (!sim.ok()) return sim.status();
   auto degraded_faults =
       LoadFaultModel(flags, sim->num_channels(), "degraded-");
@@ -1072,7 +1120,6 @@ Status CmdEval(const FlagMap& flags, std::ostringstream* os) {
   if (!text.ok()) return text.status();
   auto program = ParseProgram(*text);
   if (!program.ok()) return program.status();
-  BCAST_RETURN_IF_ERROR(CheckDataWeight(program->tree));
   *os << "program is feasible\n";
   *os << program->schedule.ToString(program->tree);
   PrintCosts(program->tree, program->schedule, os);
@@ -1119,7 +1166,6 @@ Status CmdVerify(const FlagMap& flags, std::ostringstream* os) {
 Status CmdInfo(const FlagMap& flags, std::ostringstream* os) {
   auto tree = LoadTree(flags);
   if (!tree.ok()) return tree.status();
-  BCAST_RETURN_IF_ERROR(CheckDataWeight(*tree));
   *os << "nodes             : " << tree->num_nodes() << " ("
       << tree->num_index_nodes() << " index, " << tree->num_data_nodes()
       << " data)\n";
@@ -1143,7 +1189,7 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
     *out = os.str();
     return 2;
   }
-  auto flags = FlagMap::Parse(args, 1);
+  auto flags = FlagMap::Parse(args);
   if (!flags.ok()) {
     *out = flags.status().ToString() + "\n" + kUsage;
     return 2;
@@ -1243,31 +1289,17 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
     status = CmdVerify(*flags, &os);
   } else if (args[0] == "info") {
     status = CmdInfo(*flags, &os);
-  } else if (args[0] == "stats") {
-    // `stats` runs with the registry always on and appends a human-readable
-    // metrics dump — the quickest way to see the counters.
+  } else {
+    // `stats` (Parse has rejected any unknown command) runs with the
+    // registry always on and appends a human-readable metrics dump — the
+    // quickest way to see the counters.
     status = CmdStats(*flags, &os, &degraded);
     if (status.ok()) os << obs::FormatMetricsHuman(registry->Snapshot());
-  } else {
-    os << "unknown command '" << args[0] << "'\n" << kUsage;
-    *out = os.str();
-    return 2;
   }
 
   // Uninstall before snapshotting so totals are exact (workers joined, no
   // concurrent writers left).
   scope.reset();
-  // A flag the command never read is a typo or belongs to another command:
-  // reject it rather than run as if it were absent. A command that failed
-  // may have stopped before reading the rest, so its own error stands.
-  if (auto unread = flags->FirstUnread(); status.ok() && unread.has_value()) {
-    *out = "error: " +
-           InvalidArgumentError("unknown flag --" + *unread + " for `" +
-                                args[0] + "`")
-               .ToString() +
-           "\n" + kUsage;
-    return 2;
-  }
   if (status.ok() && metrics_out.has_value()) {
     status = obs::WriteMetricsJson(registry->Snapshot(), *metrics_out);
     if (status.ok()) os << "wrote metrics to " << *metrics_out << "\n";
