@@ -99,6 +99,41 @@ TEST(CliTest, PlanRejectsBadThreadCounts) {
   EXPECT_NE(out.find("--threads must be <= 512"), std::string::npos);
 }
 
+TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
+  // `plan` searches on one thread and rejects --threads before planning.
+  std::string out;
+  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
+                        "--strategy", "optimal", "--threads", "4"},
+                       &out),
+            2);
+  EXPECT_NE(out.find("unknown flag --threads for `plan`"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("average data wait"), std::string::npos) << out;
+  ASSERT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
+                        "--strategy", "optimal"},
+                       &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("average data wait : 3.77143"), std::string::npos);
+
+  // The adaptive server plans its cycles on --threads workers and prints the
+  // same report, character for character, as on one.
+  std::string single, parallel;
+  int code = RunCommand({"simulate", "--cycles", "6", "--items", "12",
+                         "--channels", "2", "--strategy", "optimal",
+                         "--seed", "5", "--threads", "1"},
+                        &single);
+  ASSERT_EQ(code, 0) << single;
+  code = RunCommand({"simulate", "--cycles", "6", "--items", "12",
+                     "--channels", "2", "--strategy", "optimal", "--seed", "5",
+                     "--threads", "4"},
+                    &parallel);
+  ASSERT_EQ(code, 0) << parallel;
+  EXPECT_EQ(single, parallel);
+  EXPECT_NE(parallel.find("served provenance : exact 6"), std::string::npos)
+      << parallel;
+}
+
 TEST(CliTest, PlanRejectsBadSearchTuningValues) {
   std::string out;
   EXPECT_EQ(
