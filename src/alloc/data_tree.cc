@@ -1,10 +1,10 @@
 #include "alloc/data_tree.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <string>
 
+#include "util/bits.h"
 #include "util/check.h"
 
 namespace bcast {
@@ -179,7 +179,7 @@ Status DataTreeSearch::Dfs(Context* ctx) {
       NodeId prev = ctx->order.back();
       uint64_t prev_excl =
           ctx->nanc_masks.back() & ~ancestor_mask_[static_cast<size_t>(head)];
-      int excl = std::popcount(prev_excl);
+      int excl = PopCount(prev_excl);
       // Nancestor(head) is empty here (all index nodes are out).
       if (tree_.weight(prev) <
           static_cast<double>(excl + 1) * tree_.weight(head)) {
@@ -224,7 +224,7 @@ Status DataTreeSearch::Dfs(Context* ctx) {
     // group's heaviest remaining member — eligible never contains them.
     const uint64_t unchosen = static_cast<uint64_t>(data_nodes_.size()) -
                               static_cast<uint64_t>(
-                                  std::popcount(ctx->chosen_data & all_data_mask_));
+                                  PopCount(ctx->chosen_data & all_data_mask_));
     ctx->stats.pruned_by_rule.lemma3 += unchosen - eligible.size();
   }
 
@@ -234,11 +234,11 @@ Status DataTreeSearch::Dfs(Context* ctx) {
     // bound bite much sooner. Order does not affect which paths exist.
     std::sort(eligible.begin(), eligible.end(), [&](NodeId a, NodeId b) {
       double da = tree_.weight(a) /
-                  static_cast<double>(std::popcount(
+                  static_cast<double>(PopCount(
                       ancestor_mask_[static_cast<size_t>(a)] & ~ctx->cancestor) +
                                       1);
       double db = tree_.weight(b) /
-                  static_cast<double>(std::popcount(
+                  static_cast<double>(PopCount(
                       ancestor_mask_[static_cast<size_t>(b)] & ~ctx->cancestor) +
                                       1);
       if (da != db) return da > db;
@@ -248,7 +248,7 @@ Status DataTreeSearch::Dfs(Context* ctx) {
 
   for (NodeId d : eligible) {
     uint64_t nanc = ancestor_mask_[static_cast<size_t>(d)] & ~ctx->cancestor;
-    int nanc_size = std::popcount(nanc);
+    int nanc_size = PopCount(nanc);
 
     // Property 4 (Lemma 6, 1-and-1 exchange): prune if swapping d with the
     // previous data node would strictly lower the cost.
@@ -256,7 +256,7 @@ Status DataTreeSearch::Dfs(Context* ctx) {
       NodeId prev = ctx->order.back();
       uint64_t prev_excl =
           ctx->nanc_masks.back() & ~ancestor_mask_[static_cast<size_t>(d)];
-      int excl = std::popcount(prev_excl);
+      int excl = PopCount(prev_excl);
       if (static_cast<double>(nanc_size + 1) * tree_.weight(prev) <
           static_cast<double>(excl + 1) * tree_.weight(d)) {
         ++ctx->stats.nodes_pruned;
@@ -275,7 +275,7 @@ Status DataTreeSearch::Dfs(Context* ctx) {
       if ((block_anc & ancestor_mask_[static_cast<size_t>(d)]) == 0) {
         NodeId a1 = ctx->order[ctx->order.size() - 1];
         NodeId a2 = ctx->order[ctx->order.size() - 2];
-        double n_a = static_cast<double>(std::popcount(block_anc) + 2);
+        double n_a = static_cast<double>(PopCount(block_anc) + 2);
         double w_a = tree_.weight(a1) + tree_.weight(a2);
         double n_b = static_cast<double>(nanc_size + 1);
         double w_b = tree_.weight(d);

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "obs/obs.h"
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "verify/verifier.h"
@@ -29,24 +30,30 @@ void ForEachBit(uint64_t set, Fn fn) {
 
 uint64_t Bit(NodeId id) { return uint64_t{1} << id; }
 
-// Emits every k-element subset of items[0..n-1] as a bitmask, in the same
-// lexicographic index order as util/combinatorics.h's ForEachKSubset (whole
-// set once when k >= n). Pure stack state — the hot loop's replacement for
-// the std::function/vector-based enumerator.
+// Emits every k-element subset of the bits of `set` as a bitmask, in the
+// same lexicographic ascending-id order as util/combinatorics.h's
+// ForEachKSubset (the whole set once when k >= |set|). Pure stack state —
+// the hot loop's replacement for the std::function/vector-based enumerator.
 template <typename Fn>
-void ForEachKSubsetMask(const NodeId* items, int n, int k, Fn emit) {
-  if (n == 0) return;
+void ForEachKSubsetMask(uint64_t set, int k, Fn emit) {
+  if (set == 0) return;
+  const int n = PopCount(set);
   if (k >= n) {
-    uint64_t sm = 0;
-    for (int i = 0; i < n; ++i) sm |= Bit(items[i]);
-    emit(sm);
+    emit(set);
     return;
   }
+  if (k == 1) {
+    for (; set != 0; set &= set - 1) emit(set & (~set + 1));
+    return;
+  }
+  uint64_t items[64];
+  int count = 0;
+  ForEachBit(set, [&](NodeId id) { items[count++] = Bit(id); });
   int idx[64];
   for (int i = 0; i < k; ++i) idx[i] = i;
   while (true) {
     uint64_t sm = 0;
-    for (int i = 0; i < k; ++i) sm |= Bit(items[idx[i]]);
+    for (int i = 0; i < k; ++i) sm |= items[idx[i]];
     emit(sm);
     // Advance to the next combination.
     int i = k;
@@ -162,8 +169,8 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
   for (NodeId d : tree.DataNodes()) {
     uint64_t ancestors = 0;
     for (NodeId a : tree.AncestorsOf(d)) ancestors |= Bit(a);
-    data_by_weight_.push_back(
-        {d, ancestors, tree.weight(d), tree.node(d).level});
+    data_by_weight_.push_back({d, ancestors, tree.weight(d)});
+    num_levels_ = std::max(num_levels_, tree.node(d).level - 1);
   }
   std::sort(data_by_weight_.begin(), data_by_weight_.end(),
             [](const DataItem& a, const DataItem& b) {
@@ -179,18 +186,33 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
     exact_sums = exact_sums && d.weight == std::floor(d.weight);
   }
   rounding_slack_ = exact_sums ? 0.0 : 0x1p-44;
+  integer_weight_.assign(64, 0);
   rank_bit_.assign(static_cast<size_t>(n), 0);
+  descendant_ranks_.assign(static_cast<size_t>(n), 0);
+  heavier_ranks_.assign(static_cast<size_t>(n), 0);
+  child_ranks_.assign(static_cast<size_t>(n), 0);
+  uint64_t heavier = 0;  // ranks strictly heavier than rank `rank`
   for (size_t rank = 0; rank < data_by_weight_.size(); ++rank) {
-    rank_bit_[static_cast<size_t>(data_by_weight_[rank].id)] = uint64_t{1}
-                                                              << rank;
+    const DataItem& d = data_by_weight_[rank];
+    if (rank > 0 && d.weight != data_by_weight_[rank - 1].weight) {
+      heavier = (uint64_t{1} << rank) - 1;
+    }
+    heavier_ranks_[static_cast<size_t>(d.id)] = heavier;
+    if (d.id != tree.root()) {
+      child_ranks_[static_cast<size_t>(tree.parent(d.id))] |= uint64_t{1}
+                                                            << rank;
+    }
+    rank_bit_[static_cast<size_t>(d.id)] = uint64_t{1} << rank;
+    if (exact_sums) integer_weight_[rank] = static_cast<int64_t>(d.weight);
+    ForEachBit(d.ancestors, [&](NodeId a) {
+      descendant_ranks_[static_cast<size_t>(a)] |= uint64_t{1} << rank;
+    });
   }
   weight_.resize(static_cast<size_t>(n));
-  level_.resize(static_cast<size_t>(n));
   children_mask_.assign(static_cast<size_t>(n), 0);
   higher_rank_mask_.assign(static_cast<size_t>(n), 0);
   for (NodeId id = 0; id < n; ++id) {
     weight_[static_cast<size_t>(id)] = tree.weight(id);
-    level_[static_cast<size_t>(id)] = tree.node(id).level;
     if (tree.is_data(id)) {
       data_mask_ |= Bit(id);
     } else {
@@ -214,11 +236,8 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
   // sets plus the root slot).
   level_scratch_.resize(static_cast<size_t>(n) + 2);
   level_children_.resize(level_scratch_.size());
-}
-
-bool TopoTreeSearch::ChildBefore(const Child& a, const Child& b) {
-  if (a.weight != b.weight) return a.weight > b.weight;
-  return a.set < b.set;
+  frame_levels_.assign(
+      level_scratch_.size() * static_cast<size_t>(num_levels_ + 1), 0);
 }
 
 bool TopoTreeSearch::SubsetLess(uint64_t a, uint64_t b) const {
@@ -246,65 +265,69 @@ uint64_t TopoTreeSearch::CandidateMask(uint64_t mask) const {
 void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
                                        std::vector<uint64_t>* out,
                                        SearchStats* stats) const {
+  NeighborsOf(CandidateMask(mask), last_set, out, stats);
+}
+
+void TopoTreeSearch::NeighborsOf(uint64_t cand, uint64_t last_set,
+                                 std::vector<uint64_t>* out,
+                                 SearchStats* stats) const {
   out->clear();
-  uint64_t cand = CandidateMask(mask);
   if (cand == 0) return;
 
   const int k = options_.num_channels;
 
   // Properties of the previous compound node P, all as mask algebra: its
-  // data members, the union of its children, its lightest data weight.
-  const uint64_t p_data = last_set & data_mask_;
-  const bool p_all_index = p_data == 0;
-  double p_min_data_weight = std::numeric_limits<double>::infinity();
-  ForEachBit(p_data, [&](NodeId id) {
-    p_min_data_weight =
-        std::min(p_min_data_weight, weight_[static_cast<size_t>(id)]);
-  });
+  // children (as nodes, and its data children as weight ranks) and the
+  // data heavier than its lightest datum (as weight ranks).
+  const bool p_all_index = (last_set & data_mask_) == 0;
   uint64_t children_of_p = 0;
+  uint64_t p_child_ranks = 0;
+  uint64_t heavier_than_p_min = 0;
   ForEachBit(last_set, [&](NodeId id) {
     children_of_p |= children_mask_[static_cast<size_t>(id)];
+    p_child_ranks |= child_ranks_[static_cast<size_t>(id)];
+    heavier_than_p_min |= heavier_ranks_[static_cast<size_t>(id)];
   });
 
-  // ---- Appendix Step 2: prune the candidate set. --------------------------
-  if (options_.prune_candidates) {
-    const int candidates_before = std::popcount(cand);
+  if (!options_.prune_candidates) {
+    // Plain Algorithm 1: every t-subset, enumerated straight off the
+    // candidate mask (ascending-id item order, lexicographic combinations —
+    // the same sequence the vector-based enumerator produced).
+    ForEachKSubsetMask(cand, k, [&](uint64_t sm) { out->push_back(sm); });
+  } else {
+    // The index candidates as nodes, the data candidates as weight ranks:
+    // the lowest rank is the heaviest datum (ties by ascending id).
+    uint64_t index = cand & index_mask_;
+    uint64_t ranks = RankMask(cand);
+
+    // ---- Appendix Step 2: prune the candidate set. ------------------------
+    const int candidates_before = PopCount(index) + PopCount(ranks);
     if (p_all_index) {
+      ranks &= p_child_ranks;
       if (k == 1) {
         // Case 1(i): only children of p; among data children only the
-        // heaviest (Property 2, characteristic 1). data_by_weight_ is sorted
-        // weight-descending with ascending-id ties, so the lowest weight
-        // rank is the canonical heaviest data child.
-        uint64_t kept = cand & children_of_p & index_mask_;
-        const uint64_t data_children = cand & children_of_p & data_mask_;
-        if (data_children != 0) {
-          kept |= Bit(Heaviest(RankMask(data_children)).id);
-        }
-        cand = kept;
+        // heaviest (Property 2, characteristic 1).
+        index &= children_of_p;
+        ranks &= ~ranks + 1;
       } else {
         // Case 1(ii): drop data that are not children of P; keep only the k
         // heaviest remaining data (Property 3, characteristics 1/2).
-        uint64_t kept = cand & index_mask_;
-        uint64_t ranks = RankMask(cand & children_of_p);
+        uint64_t kept = 0;
         for (int taken = 0; ranks != 0 && taken < k; ++taken) {
-          kept |= Bit(Heaviest(ranks).id);
+          kept |= ranks & (~ranks + 1);
           ranks &= ranks - 1;
         }
-        cand = kept;
+        ranks = kept;
       }
     } else {
       // Case 2: drop data nodes that are not children of P but are heavier
       // than some data node in P (Property 3, characteristic 4 / Property 2,
       // characteristic 2).
-      uint64_t drop = 0;
-      ForEachBit(cand & data_mask_ & ~children_of_p, [&](NodeId id) {
-        if (weight_[static_cast<size_t>(id)] > p_min_data_weight) {
-          drop |= Bit(id);
-        }
-      });
-      cand &= ~drop;
+      ranks &= ~(~p_child_ranks & heavier_than_p_min);
     }
-    const int dropped = candidates_before - std::popcount(cand);
+    const int num_index = PopCount(index);
+    const int num_data = PopCount(ranks);
+    const int dropped = candidates_before - num_index - num_data;
     if (stats != nullptr && dropped > 0) {
       // Candidate-level drops (they never become subsets, so they are not
       // part of nodes_generated / nodes_pruned): Property 2 justifies the
@@ -315,49 +338,30 @@ void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
         stats->pruned_by_rule.property3 += static_cast<uint64_t>(dropped);
       }
     }
-    if (cand == 0) return;  // dead end; a sibling branch survives
-  }
+    if (num_index + num_data == 0) return;  // dead end; a sibling survives
 
-  const int num_candidates = std::popcount(cand);
-  const int t = std::min(k, num_candidates);
-
-  // ---- Appendix Step 3: generate the k-component subsets. -----------------
-  if (!options_.prune_candidates) {
-    // Plain Algorithm 1: every t-subset, enumerated straight off the
-    // candidate mask (ascending-id item order, lexicographic combinations —
-    // the same sequence the vector-based enumerator produced).
-    NodeId items[64];
-    int n_items = 0;
-    ForEachBit(cand, [&](NodeId id) { items[n_items++] = id; });
-    ForEachKSubsetMask(items, n_items, t,
-                       [&](uint64_t sm) { out->push_back(sm); });
-  } else {
+    // ---- Appendix Step 3: generate the k-component subsets. ---------------
     // Rule (i): the n data nodes of a subset must be the n heaviest data
     // candidates, so data enter as a prefix of the weight-sorted list.
-    NodeId data_sorted[64];
-    int num_data = 0;
-    for (uint64_t ranks = RankMask(cand); ranks != 0; ranks &= ranks - 1) {
-      data_sorted[num_data++] = Heaviest(ranks).id;
-    }
-    NodeId index_items[64];
-    int num_index = 0;
-    ForEachBit(cand & index_mask_,
-               [&](NodeId id) { index_items[num_index++] = id; });
-
+    const int t = std::min(k, num_index + num_data);
     int min_data = (num_data >= t && num_index == 0) ? t : 0;
     if (t > num_index) min_data = std::max(min_data, t - num_index);
-    for (int d = min_data; d <= std::min(t, num_data); ++d) {
-      uint64_t data_prefix = 0;
-      for (int i = 0; i < d; ++i) data_prefix |= Bit(data_sorted[i]);
-      const int want_index = t - d;
-      if (want_index > num_index) continue;
-      if (want_index == 0) {
-        out->push_back(data_prefix);
-        continue;
+    uint64_t data_prefix = 0;  // the d heaviest data candidates
+    for (int d = 0; d <= std::min(t, num_data); ++d) {
+      if (d >= min_data) {
+        const int want_index = t - d;
+        if (want_index == 0) {
+          out->push_back(data_prefix);
+        } else if (want_index <= num_index) {
+          ForEachKSubsetMask(index, want_index, [&](uint64_t sm) {
+            out->push_back(data_prefix | sm);
+          });
+        }
       }
-      ForEachKSubsetMask(index_items, num_index, want_index, [&](uint64_t sm) {
-        out->push_back(data_prefix | sm);
-      });
+      if (ranks != 0) {
+        data_prefix |= Bit(Heaviest(ranks).id);
+        ranks &= ranks - 1;
+      }
     }
   }
 
@@ -453,12 +457,60 @@ uint64_t TopoTreeSearch::RankMask(uint64_t set) const {
 }
 
 double TopoTreeSearch::LowerBound(uint64_t mask, int depth) const {
-  return RankedLowerBound(RankMask(full_mask_ & ~mask), mask, depth);
+  uint64_t levels[64] = {};
+  BuildLevels(mask, levels);
+  return LevelsBound(levels, depth);
+}
+
+double TopoTreeSearch::ChildLowerBound(uint64_t mask, uint64_t subset,
+                                       int depth) const {
+  uint64_t levels[64] = {};
+  uint64_t child[64] = {};
+  BuildLevels(mask, levels);
+  ChildLevels(levels, subset, child);
+  return LevelsBound(child, depth + 1);
+}
+
+void TopoTreeSearch::BuildLevels(uint64_t mask, uint64_t* levels) const {
+  std::fill(levels, levels + num_levels_, uint64_t{0});
+  levels[num_levels_] = RankMask(full_mask_ & ~mask);
+  for (uint64_t ranks = levels[num_levels_]; ranks != 0; ranks &= ranks - 1) {
+    const int release = PopCount(Heaviest(ranks).ancestors & ~mask);
+    levels[release] |= ranks & (~ranks + 1);
+  }
+}
+
+// bcast: hot — once per child that survives the V cut.
+void TopoTreeSearch::ChildLevels(const uint64_t* levels, uint64_t subset,
+                                 uint64_t* child) const {
+  // Every member of a neighbor is a candidate: its ancestors are allocated,
+  // so its data sit at level 0, and the subtrees below its index members
+  // are disjoint. Each datum below one of them loses exactly one
+  // unallocated ancestor.
+  uint64_t moved = 0;    // ranks of the data below S's index nodes
+  uint64_t placed = 0;   // ranks of S's own data
+  ForEachBit(subset, [&](NodeId id) {
+    moved |= descendant_ranks_[static_cast<size_t>(id)];
+    placed |= rank_bit_[static_cast<size_t>(id)];
+  });
+  const int top = num_levels_ - 1;
+  for (int r = 0; r < top; ++r) {
+    child[r] = (levels[r] & ~moved) | (levels[r + 1] & moved);
+  }
+  child[top] = levels[top] & ~moved;
+  child[0] &= ~placed;
+  child[num_levels_] = levels[num_levels_] & ~placed;
+}
+
+bool TopoTreeSearch::LevelsMatch(uint64_t mask, const uint64_t* levels) const {
+  uint64_t rebuilt[64] = {};
+  BuildLevels(mask, rebuilt);
+  return std::equal(rebuilt, rebuilt + num_levels_ + 1, levels);
 }
 
 // bcast: hot — admissible bound, evaluated per child.
-double TopoTreeSearch::RankedLowerBound(uint64_t ranks, uint64_t mask,
-                                        int depth) const {
+double TopoTreeSearch::LevelsBound(const uint64_t* levels, int depth) const {
+  uint64_t ranks = levels[num_levels_];  // every unallocated datum
   double bound = 0.0;
   if (options_.bound == BoundKind::kPaperNextSlot) {
     for (; ranks != 0; ranks &= ranks - 1) {
@@ -466,34 +518,54 @@ double TopoTreeSearch::RankedLowerBound(uint64_t ranks, uint64_t mask,
     }
     return bound;
   }
-  // Release-date bound: a remaining data node d cannot be sent before
-  // relative slot r = (its unallocated ancestors), since each of them needs
-  // its own earlier slot. Heaviest first, each takes the earliest slot >= r
-  // with a free channel; an exchange argument makes this greedy exact for
-  // unit jobs with release dates on k channels (DESIGN.md §17).
-  const int k = options_.num_channels;
-  uint64_t full = 0;       // relative slots whose k channels are all taken
-  uint8_t taken[64] = {};  // data placed per relative slot (<= 63 each)
+  // Release-date bound: a remaining datum with r unallocated ancestors
+  // cannot be sent before relative slot r, since each of them needs its own
+  // earlier slot. Slot by slot, the k heaviest data released and not yet
+  // placed take the slot; an exchange argument makes this exact for unit
+  // jobs with release dates on k channels, and it places every datum where
+  // the heaviest-first, earliest-free-slot greedy does (DESIGN.md §17).
+  // pack(place) calls place(rank, slot index) once per datum, and with rank
+  // 63 for each pick from an empty `pending`: a tree of two or more nodes
+  // has an index root, so at most 63 data exist and rank 63 holds none.
+  const int k = std::min(options_.num_channels, 63);
+  auto pack = [&](auto&& place) {
+    constexpr uint64_t kNoRank = uint64_t{1} << 63;
+    const int top = num_levels_ - 1;
+    uint64_t unreleased = ranks;
+    uint64_t pending = 0;  // released, not yet placed
+    for (int slot = 0; (unreleased | pending) != 0; ++slot) {
+      // At most 63 nodes are unallocated (the root never is). A datum placed
+      // at `slot`, its r unallocated ancestors and one datum per full slot
+      // in [r, slot) are distinct unallocated nodes, so slot <= 62. Past the
+      // top level every datum is released, so the clamped read adds nothing.
+      BCAST_DCHECK_LE(slot, 62);
+      const uint64_t released = levels[std::min(slot, top)] & unreleased;
+      pending |= released;
+      unreleased &= ~released;
+      // The k heaviest pending data take the slot; branch-free, since an
+      // empty `pending` stays empty.
+      for (int c = 0; c < k; ++c) {
+        place(std::countr_zero(pending | kNoRank), depth + 1 + slot);
+        pending &= pending - 1;
+      }
+    }
+  };
+  if (rounding_slack_ == 0.0) {
+    // Integer weights: every sum is exact (see Estimate), so the terms are
+    // added in integers, in packing order, and the total converts exactly.
+    int64_t exact = 0;
+    pack([&](int rank, int slot_index) {
+      exact += integer_weight_[static_cast<size_t>(rank)] * slot_index;
+    });
+    return static_cast<double>(exact);
+  }
+  // Real weights: summed heaviest first, as the item-wise greedy summed, so
+  // U and every cut it makes are bit-identical to it.
+  int multiplier[64] = {};  // by weight rank: its slot index
+  pack([&](int rank, int slot_index) { multiplier[rank] = slot_index; });
   for (; ranks != 0; ranks &= ranks - 1) {
-    const DataItem& d = Heaviest(ranks);
-    // r counts d's unallocated ancestors. The allocated ones are a
-    // root-first prefix of its path and a parent's id is below its
-    // children's, so the highest allocated ancestor bit is the deepest:
-    // a bit scan and a load, where std::popcount is a library call on
-    // baseline x86-64.
-    const int release =
-        d.level - 1 -
-        level_[static_cast<size_t>(std::bit_width(d.ancestors & mask) - 1)];
-    BCAST_DCHECK_EQ(release, std::popcount(d.ancestors & ~mask));
-    const int slot = release + std::countr_zero(~full >> release);
-    // At most 63 nodes are unallocated (the root never is). d, its `release`
-    // unallocated ancestors (index nodes) and at least one earlier-placed
-    // datum per full slot in [release, slot) are distinct unallocated nodes,
-    // so slot + 1 <= 63: the window's top bit is never reached, and the
-    // shifted ~full above always has a free slot to count up to.
-    BCAST_DCHECK_LE(slot, 62);
-    bound += d.weight * static_cast<double>(depth + 1 + slot);
-    if (++taken[slot] == k) full |= uint64_t{1} << slot;
+    bound += Heaviest(ranks).weight *
+             static_cast<double>(multiplier[std::countr_zero(ranks)]);
   }
   return bound;
 }
@@ -529,8 +601,12 @@ struct TopoTreeSearch::DfsContext {
   TranspositionMemo* memo = nullptr;
 };
 
-Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
-                           int depth, double v) {
+Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t cand,
+                           uint64_t last_set, int depth, double v) {
+  const bool optimize = ctx->mode == DfsContext::Mode::kOptimize;
+  // The inherited expansion state equals the one rebuilt from the mask.
+  BCAST_DCHECK_EQ(cand, CandidateMask(mask));
+  BCAST_DCHECK(!optimize || LevelsMatch(mask, FrameLevels(depth)));
   if (ctx->budget != nullptr) {
     // Soft budget checks run BEFORE the expansion is counted, so an
     // expansion budget of N expands exactly N states — the deterministic
@@ -553,8 +629,9 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
     if (ctx->stopped) {
       // Abandoned subtree: its cheapest completion costs at least the
       // admissible estimate V + U, folded into the reported lower bound.
-      ctx->frontier_lower =
-          std::min(ctx->frontier_lower, Estimate(v, LowerBound(mask, depth)));
+      ctx->frontier_lower = std::min(
+          ctx->frontier_lower,
+          Estimate(v, LevelsBound(FrameLevels(depth), depth)));
       return Status::Ok();
     }
   }
@@ -594,43 +671,64 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
   }
 
   std::vector<uint64_t>& neighbors = level_scratch_[static_cast<size_t>(depth)];
-  GenerateNeighbors(mask, last_set, &neighbors, &ctx->stats);
+  NeighborsOf(cand, last_set, &neighbors, &ctx->stats);
   std::vector<Child>& children = level_children_[static_cast<size_t>(depth)];
   children.clear();
   for (uint64_t set : neighbors) children.push_back({set, SetDataWeight(set)});
-  uint64_t ranks = 0;  // weight ranks of the unallocated data
-  if (ctx->mode == DfsContext::Mode::kOptimize) {
-    ranks = RankMask(full_mask_ & ~mask);
+  if (optimize) {
     // Visit promising neighbors first so the incumbent tightens quickly. The
     // canonical order (not just weight-descending) pins which equal-cost
     // optimum is found first, and is what makes the memo's V-only dominance
-    // rule exact.
-    std::sort(children.begin(), children.end(), ChildBefore);
+    // rule exact. A handful of children: insertion sort.
+    for (size_t i = 1; i < children.size(); ++i) {
+      const Child child = children[i];
+      size_t j = i;
+      for (; j > 0 && ChildBefore(child, children[j - 1]); --j) {
+        children[j] = children[j - 1];
+      }
+      children[j] = child;
+    }
   }
+  const uint64_t* levels = optimize ? FrameLevels(depth) : nullptr;
+  uint64_t* child_levels = optimize ? FrameLevels(depth + 1) : nullptr;
   for (size_t i = 0; i < children.size(); ++i) {
     const uint64_t subset = children[i].set;
     double nv = v + children[i].weight * static_cast<double>(depth + 1);
-    if (ctx->mode == DfsContext::Mode::kOptimize) {
+    if (optimize) {
       // Lemmas 1/2: V + U is a lower bound on any completion through subset.
       // E >= V, so a child whose V alone reaches the cut needs no bound.
       if (nv >= ctx->best_v || nv > ctx->seed_bound) {
         ++ctx->stats.bound_cutoffs;
         continue;
       }
-      const double est =
-          Estimate(nv, RankedLowerBound(ranks & ~RankMask(subset),
-                                        mask | subset, depth + 1));
+      ChildLevels(levels, subset, child_levels);
+      const double est = Estimate(nv, LevelsBound(child_levels, depth + 1));
       if (est >= ctx->best_v || est > ctx->seed_bound) {
         ++ctx->stats.bound_cutoffs;
         continue;
       }
     }
+    uint64_t child_cand = cand;
+    ForEachBit(subset, [&](NodeId id) {
+      child_cand |= children_mask_[static_cast<size_t>(id)];
+    });
     ctx->current_path.push_back(subset);
-    Status status = Dfs(ctx, mask | subset, subset, depth + 1, nv);
+    Status status = Dfs(ctx, mask | subset, child_cand & ~subset, subset,
+                        depth + 1, nv);
     ctx->current_path.pop_back();
     BCAST_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
+}
+
+Status TopoTreeSearch::DfsFromRoot(DfsContext* ctx) {
+  const NodeId root = tree_.root();
+  const uint64_t root_mask = Bit(root);
+  if (ctx->mode == DfsContext::Mode::kOptimize) {
+    BuildLevels(root_mask, FrameLevels(1));
+  }
+  const double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
+  return Dfs(ctx, root_mask, CandidateMask(root_mask), root_mask, 1, v0);
 }
 
 SlotSequence CompoundPathToSlots(NodeId root,
@@ -649,9 +747,7 @@ Result<uint64_t> TopoTreeSearch::CountPaths(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountPaths;
   ctx.limit = limit;
-  NodeId root = tree_.root();
-  double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
-  BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
+  BCAST_RETURN_IF_ERROR(DfsFromRoot(&ctx));
   return ctx.count;
 }
 
@@ -659,9 +755,7 @@ Result<uint64_t> TopoTreeSearch::CountTreeNodes(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
-  NodeId root = tree_.root();
-  double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
-  BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
+  BCAST_RETURN_IF_ERROR(DfsFromRoot(&ctx));
   return ctx.count;
 }
 
@@ -671,9 +765,7 @@ Result<SearchStats> TopoTreeSearch::ReducedTreeStats(uint64_t limit) {
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
-  NodeId root = tree_.root();
-  double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
-  BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
+  BCAST_RETURN_IF_ERROR(DfsFromRoot(&ctx));
   return ctx.stats;
 }
 
@@ -695,9 +787,7 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
   const size_t max_path = static_cast<size_t>(tree_.num_nodes()) + 1;
   ctx.current_path.reserve(max_path);
   ctx.best_path.reserve(max_path);
-  NodeId root = tree_.root();
-  double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
-  BCAST_RETURN_IF_ERROR(Dfs(&ctx, Bit(root), Bit(root), 1, v0));
+  BCAST_RETURN_IF_ERROR(DfsFromRoot(&ctx));
   if (ctx.best_v == std::numeric_limits<double>::infinity()) {
     if (ctx.stopped) {
       return ResourceExhaustedError(
@@ -707,7 +797,7 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
     return InternalError("no feasible allocation found (pruning dead end)");
   }
   AllocationResult result;
-  result.slots = CompoundPathToSlots(root, ctx.best_path);
+  result.slots = CompoundPathToSlots(tree_.root(), ctx.best_path);
   result.average_data_wait = ctx.best_v / tree_.total_data_weight();
   result.stats = ctx.stats;
   const double total_weight = tree_.total_data_weight();

@@ -34,11 +34,18 @@
 // them, and k-subset generation enumerates combinations directly over the
 // 64-bit candidate mask. Data nodes also carry a weight rank, so "the
 // heaviest data in this set" is a count-trailing-zeros over a rank mask.
-// The depth-first optimizer draws its neighbor lists from a per-depth
-// scratch arena and its memo from a table, both owned by the search object
-// and reused across calls, so once they have grown a call allocates the
-// same whatever its expansion count (asserted by
-// tests/alloc_free_search_test.cc).
+//
+// The optimizing DFS carries its expansion state down the path instead of
+// rebuilding it from the allocated mask. Each frame inherits its candidate
+// mask, (cand | children(S)) & ~S for the child that allocates S, and its
+// release levels: the weight ranks of the unallocated data grouped by how
+// many unallocated ancestors each has. A child's levels come from its
+// parent's by mask algebra (the data below S's index nodes move one level
+// down, S's own data drop out), and the release-date bound packs them slot
+// by slot (DESIGN.md §17). The neighbor lists and the level arrays live in
+// per-depth scratch owned by the search object, and the memo in a table, all
+// reused across calls, so once they have grown a call allocates the same
+// whatever its expansion count (asserted by tests/alloc_free_search_test.cc).
 
 #ifndef BCAST_ALLOC_TOPO_SEARCH_H_
 #define BCAST_ALLOC_TOPO_SEARCH_H_
@@ -114,12 +121,11 @@ class TopoTreeSearch {
     kPaperNextSlot,
     /// Packed release-date bound. A data node with r unallocated ancestors
     /// cannot go out before r slots from now, since each ancestor takes a
-    /// slot of its own first. Unallocated data nodes, heaviest first, each
-    /// take the earliest slot at or after that release slot that still has
-    /// one of its k channels free. This schedules unit jobs with release
-    /// dates on k channels optimally (an exchange argument, DESIGN.md §17),
-    /// so it is admissible and never below the plain packing that lets
-    /// every node start at the next slot. Default.
+    /// slot of its own first. Slot by slot, the k heaviest data released by
+    /// then and not yet placed take that slot's channels. This schedules
+    /// unit jobs with release dates on k channels optimally (an exchange
+    /// argument, DESIGN.md §17), so it is admissible and never below the
+    /// plain packing that lets every node start at the next slot. Default.
     kPacked,
   };
 
@@ -218,6 +224,11 @@ class TopoTreeSearch {
   /// is a search state: it holds the root and the parent of every node in it.
   double LowerBound(uint64_t mask, int depth) const;
 
+  /// LowerBound(mask | subset, depth + 1) for a neighbor `subset` of state
+  /// `mask`, computed as the optimizing DFS computes it: from the release
+  /// levels of `mask`, moved on by `subset`.
+  double ChildLowerBound(uint64_t mask, uint64_t subset, int depth) const;
+
   /// Canonical strict total order on sibling compound sets: data weight
   /// descending, then bitmask ascending. The optimizer visits neighbors in
   /// this order, which makes "the first optimum found" a well-defined
@@ -236,7 +247,6 @@ class TopoTreeSearch {
     NodeId id;
     uint64_t ancestors;  // its proper ancestors, as bits
     double weight;
-    int level;  // tree level, root == 1
   };
   // A generated neighbor with its data weight, computed once per expansion:
   // the canonical sort and the child's V both read it.
@@ -245,7 +255,10 @@ class TopoTreeSearch {
     double weight;
   };
   // SubsetLess on neighbors whose data weights are already known.
-  static bool ChildBefore(const Child& a, const Child& b);
+  static bool ChildBefore(const Child& a, const Child& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    return a.set < b.set;
+  }
 
   TopoTreeSearch(const IndexTree& tree, Options options);
 
@@ -253,6 +266,9 @@ class TopoTreeSearch {
   // allocated but which are not, as a bitmask (union of the precomputed
   // children masks of the allocated nodes, minus the allocated nodes).
   uint64_t CandidateMask(uint64_t mask) const;
+  // GenerateNeighbors from the candidate set `cand` of the state.
+  void NeighborsOf(uint64_t cand, uint64_t last_set,
+                   std::vector<uint64_t>* out, SearchStats* stats) const;
 
   // Weight ranks (bits into data_by_weight_) of the data nodes in `set`.
   uint64_t RankMask(uint64_t set) const;
@@ -262,13 +278,33 @@ class TopoTreeSearch {
   }
   // E(X) = V + U for the cuts, deflated against rounding (rounding_slack_).
   double Estimate(double v, double bound) const;
-  // LowerBound over the unallocated data whose weight ranks are `ranks`.
-  double RankedLowerBound(uint64_t ranks, uint64_t mask, int depth) const;
+
+  // Release levels: levels[r] holds the weight ranks of the unallocated data
+  // with exactly r unallocated ancestors, for r < num_levels_, and
+  // levels[num_levels_] their union.
+  // From scratch, for the search state `mask`.
+  void BuildLevels(uint64_t mask, uint64_t* levels) const;
+  // The levels of state mask | subset from those of state mask.
+  void ChildLevels(const uint64_t* levels, uint64_t subset,
+                   uint64_t* child) const;
+  // True when `levels` are BuildLevels(mask) (the DFS's debug check).
+  bool LevelsMatch(uint64_t mask, const uint64_t* levels) const;
+  // The one implementation of U: LowerBound for the state whose release
+  // levels are `levels`, with next slot index depth + 1.
+  double LevelsBound(const uint64_t* levels, int depth) const;
+  // The optimizing DFS's release levels for its frame at `depth`.
+  uint64_t* FrameLevels(int depth) {
+    return frame_levels_.data() +
+           static_cast<size_t>(depth) * static_cast<size_t>(num_levels_ + 1);
+  }
 
   // Depth-first worker shared by counting and branch-and-bound.
   struct DfsContext;
-  Status Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set, int depth,
-             double v);
+  // `cand` is CandidateMask(mask), inherited from the parent frame.
+  Status Dfs(DfsContext* ctx, uint64_t mask, uint64_t cand, uint64_t last_set,
+             int depth, double v);
+  // Dfs from the state that has only the root allocated.
+  Status DfsFromRoot(DfsContext* ctx);
 
   const IndexTree& tree_;
   Options options_;
@@ -278,13 +314,21 @@ class TopoTreeSearch {
   double rounding_slack_ = 0.0;
   // Data nodes heaviest first (ties by ascending id).
   std::vector<DataItem> data_by_weight_;
+  // With exact sums (rounding_slack_ == 0), integer_weight_[r] is the
+  // weight of rank r as an integer; 0 for the ranks without a datum.
+  std::vector<int64_t> integer_weight_;
 
   // --- bitmask tables, fixed at construction --------------------------------
   uint64_t data_mask_ = 0;   // bit set iff the node is a data node
   uint64_t index_mask_ = 0;  // complement of data_mask_ within full_mask_
   std::vector<double> weight_;          // weight_[id] == tree_.weight(id)
   std::vector<uint64_t> rank_bit_;      // data: bit of its weight rank
-  std::vector<int> level_;              // level_[id] == tree_.node(id).level
+  // Index node: the weight ranks of the data below it (0 for data nodes).
+  std::vector<uint64_t> descendant_ranks_;
+  // Data node: the weight ranks of the data strictly heavier than it.
+  std::vector<uint64_t> heavier_ranks_;
+  // The weight ranks of the node's data children.
+  std::vector<uint64_t> child_ranks_;
   std::vector<uint64_t> children_mask_; // children of node id, as bits
   // higher_rank_mask_[x]: index nodes with preorder rank > rank(x) (the
   // Lemma 5 canonical-order test reduces to one AND against this).
@@ -297,6 +341,11 @@ class TopoTreeSearch {
   // expansion allocates nothing.
   std::vector<std::vector<uint64_t>> level_scratch_;
   std::vector<std::vector<Child>> level_children_;
+  // Release levels per state: a datum has at most (tree height - 2)
+  // unallocated ancestors, so num_levels_ = max(1, height - 1) levels. The
+  // optimizing DFS keeps one array of them per depth, like level_scratch_.
+  int num_levels_ = 1;
+  std::vector<uint64_t> frame_levels_;
   // The optimizer's transposition memo, cleared per call and reused.
   TranspositionMemo memo_;
 };

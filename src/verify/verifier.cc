@@ -125,7 +125,9 @@ void AllocationVerifier::CheckOrderAndPrice(const std::vector<int>& slot_of,
 
   // Independent recomputation of the paper's formula (1): both the weighted
   // sum and the normalizer are re-derived here rather than taken from
-  // IndexTree::total_data_weight() or broadcast/cost.cc.
+  // IndexTree::total_data_weight() or broadcast/cost.cc. The normalizer is
+  // positive: Finalize rejects a tree whose data weights do not sum to a
+  // positive finite total.
   double weighted = 0.0;
   double total_weight = 0.0;
   for (NodeId id = 0; id < tree_.num_nodes(); ++id) {
@@ -134,8 +136,6 @@ void AllocationVerifier::CheckOrderAndPrice(const std::vector<int>& slot_of,
     weighted +=
         tree_.weight(id) * static_cast<double>(slot_of[static_cast<size_t>(id)]);
   }
-  // All-zero weights make the ADW undefined; leave the report unpriced.
-  if (total_weight <= 0.0) return;
   report->recomputed_data_wait = weighted / total_weight;
   report->priced = true;
 }

@@ -59,9 +59,6 @@ Status PopulationSpec::Validate() const {
 Result<PopulationSampler> PopulationSampler::Create(
     const IndexTree& tree, const PopulationSpec& spec) {
   BCAST_RETURN_IF_ERROR(spec.Validate());
-  if (tree.num_data_nodes() < 1) {
-    return InvalidArgumentError("population needs a tree with data nodes");
-  }
   return PopulationSampler(tree, spec);
 }
 

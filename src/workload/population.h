@@ -73,7 +73,8 @@ struct PopulationSpec {
 /// tasks (each with its own per-client Rng).
 class PopulationSampler {
  public:
-  /// Errors if the spec fails Validate() or the tree has no data node.
+  /// Errors if the spec fails Validate(). `tree` is finalized, so it has
+  /// data nodes of positive total weight.
   static Result<PopulationSampler> Create(const IndexTree& tree,
                                           const PopulationSpec& spec);
 

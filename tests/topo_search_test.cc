@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -326,6 +329,125 @@ TEST(ReleaseDateBoundTest, SixtyFourNodeTreesReachTheTopOfTheSlotWindow) {
   ASSERT_TRUE(star_plan.ok()) << star_plan.status().ToString();
   EXPECT_EQ(star_plan->average_data_wait,
             expected_v / star.total_data_weight());
+}
+
+// Reference: the item-wise form of the release-date bound. Heaviest first
+// (ties by ascending id), each unallocated datum takes the earliest relative
+// slot at or after its release (its unallocated ancestors) with a free
+// channel, and the terms are summed in that order.
+double ItemwiseGreedyBound(const IndexTree& tree, int k, uint64_t mask,
+                           int depth) {
+  struct Item {
+    NodeId id;
+    double weight;
+    uint64_t ancestors;
+  };
+  std::vector<Item> items;
+  for (NodeId d : tree.DataNodes()) {
+    if ((mask >> d & 1) != 0) continue;
+    uint64_t ancestors = 0;
+    for (NodeId a : tree.AncestorsOf(d)) ancestors |= uint64_t{1} << a;
+    items.push_back({d, tree.weight(d), ancestors});
+  }
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    return a.id < b.id;
+  });
+  double bound = 0.0;
+  uint64_t full = 0;
+  int taken[64] = {};
+  for (const Item& d : items) {
+    const int release = std::popcount(d.ancestors & ~mask);
+    const int slot = release + std::countr_zero(~full >> release);
+    bound += d.weight * static_cast<double>(depth + 1 + slot);
+    if (++taken[slot] == k) full |= uint64_t{1} << slot;
+  }
+  return bound;
+}
+
+// Walks the (possibly reduced) topological tree from (mask, last_set, depth)
+// and checks ChildLowerBound against the item-wise bound on every generated
+// child of every state, visiting each state once and at most `max_states`.
+void CheckChildBounds(const TopoTreeSearch& search, uint64_t mask,
+                      uint64_t last_set, int depth,
+                      std::set<std::tuple<uint64_t, uint64_t, int>>* seen,
+                      size_t max_states, uint64_t* children_checked) {
+  if (mask == search.full_mask() || seen->size() >= max_states) return;
+  // Without pruning the neighbors depend on the mask alone.
+  const bool pruned = search.options().prune_candidates;
+  if (!seen->insert({mask, pruned ? last_set : 0, depth}).second) return;
+  std::vector<uint64_t> neighbors;
+  search.GenerateNeighbors(mask, last_set, &neighbors, nullptr);
+  for (uint64_t subset : neighbors) {
+    EXPECT_EQ(search.ChildLowerBound(mask, subset, depth),
+              ItemwiseGreedyBound(search.tree(), search.options().num_channels,
+                                  mask | subset, depth + 1))
+        << "mask " << mask << " subset " << subset << " depth " << depth
+        << "\n"
+        << search.tree().ToString();
+    ++*children_checked;
+  }
+  for (uint64_t subset : neighbors) {
+    CheckChildBounds(search, mask | subset, subset, depth + 1, seen,
+                     max_states, children_checked);
+  }
+}
+
+uint64_t CheckAllChildBounds(const IndexTree& tree, int channels, bool pruned,
+                             size_t max_states) {
+  auto search = TopoTreeSearch::Create(tree, MakeOptions(channels, pruned));
+  EXPECT_TRUE(search.ok());
+  if (!search.ok()) return 0;
+  std::set<std::tuple<uint64_t, uint64_t, int>> seen;
+  uint64_t checked = 0;
+  const uint64_t root = uint64_t{1} << tree.root();
+  CheckChildBounds(*search, root, root, 1, &seen, max_states, &checked);
+  return checked;
+}
+
+TEST(ReleaseDateBoundTest, InheritedBoundMatchesItemwiseGreedy) {
+  uint64_t checked = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(79'000 + seed);
+    // Integer weights (MakeRandomTree draws 1..100), then the same shape
+    // with real weights.
+    IndexTree integral =
+        MakeRandomTree(&rng, 5 + static_cast<int>(seed % 4),
+                       2 + static_cast<int>(seed % 3), /*max_nodes=*/11);
+    IndexTree real;
+    for (NodeId id = 0; id < integral.num_nodes(); ++id) {
+      if (integral.is_index(id)) {
+        real.AddIndexNode(integral.parent(id));
+      } else {
+        real.AddDataNode(integral.parent(id), rng.UniformDouble(0.01, 1.0));
+      }
+    }
+    ASSERT_TRUE(real.Finalize().ok());
+    for (const IndexTree* tree : {&integral, &real}) {
+      for (int channels = 2; channels <= 4; ++channels) {
+        for (bool pruned : {false, true}) {
+          checked += CheckAllChildBounds(*tree, channels, pruned, 2'000);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 150'000u);
+
+  // The 64-node trees of SixtyFourNodeTreesReachTheTopOfTheSlotWindow: the
+  // chain's datum starts 62 levels deep, the star's data fill 63 slots.
+  const IndexTree chain = MakeChainTree(63, 5.0);
+  IndexTree star;
+  const NodeId root = star.AddIndexNode(kInvalidNode);
+  for (int i = 0; i < 63; ++i) star.AddDataNode(root, 100.0 - i);
+  ASSERT_TRUE(star.Finalize().ok());
+  for (int channels = 1; channels <= 4; ++channels) {
+    for (bool pruned : {false, true}) {
+      EXPECT_EQ(CheckAllChildBounds(chain, channels, pruned, 100), 63u);
+    }
+    // Unpruned, the star has C(63, k) children per state; pruned, one.
+    EXPECT_EQ(CheckAllChildBounds(star, channels, /*pruned=*/true, 100),
+              static_cast<uint64_t>((63 + channels - 1) / channels));
+  }
 }
 
 // --- transposition memo ------------------------------------------------------
