@@ -224,9 +224,10 @@ class TopoTreeSearch {
   /// is a search state: it holds the root and the parent of every node in it.
   double LowerBound(uint64_t mask, int depth) const;
 
-  /// LowerBound(mask | subset, depth + 1) for a neighbor `subset` of state
-  /// `mask`, computed as the optimizing DFS computes it: from the release
-  /// levels of `mask`, moved on by `subset`.
+  /// Test hook, not for library callers: LowerBound(mask | subset,
+  /// depth + 1) for a neighbor `subset` of state `mask`, computed as the
+  /// optimizing DFS computes it, from the release levels of `mask` moved on
+  /// by `subset`.
   double ChildLowerBound(uint64_t mask, uint64_t subset, int depth) const;
 
   /// Canonical strict total order on sibling compound sets: data weight
