@@ -6,6 +6,7 @@
 #include <limits>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "obs/obs.h"
@@ -166,11 +167,20 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
     : tree_(tree), options_(options) {
   int n = tree.num_nodes();
   full_mask_ = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  for (NodeId d : tree.DataNodes()) {
-    uint64_t ancestors = 0;
-    for (NodeId a : tree.AncestorsOf(d)) ancestors |= Bit(a);
-    data_by_weight_.push_back({d, ancestors, tree.weight(d)});
-    num_levels_ = std::max(num_levels_, tree.node(d).level - 1);
+  // Proper ancestors as bits, from the parent's: ids are topologically
+  // ordered (a parent is created before its children).
+  uint64_t ancestors[64];
+  data_by_weight_.reserve(static_cast<size_t>(tree.num_data_nodes()));
+  for (NodeId id = 0; id < n; ++id) {
+    const TreeNode& node = tree.node(id);
+    const size_t i = static_cast<size_t>(id);
+    ancestors[i] = node.parent == kInvalidNode
+                       ? 0
+                       : ancestors[static_cast<size_t>(node.parent)] |
+                             Bit(node.parent);
+    if (node.kind != NodeKind::kData) continue;
+    data_by_weight_.push_back({id, ancestors[i], node.weight});
+    num_levels_ = std::max(num_levels_, node.level - 1);
   }
   std::sort(data_by_weight_.begin(), data_by_weight_.end(),
             [](const DataItem& a, const DataItem& b) {
@@ -238,6 +248,114 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
   level_children_.resize(level_scratch_.size());
   frame_levels_.assign(
       level_scratch_.size() * static_cast<size_t>(num_levels_ + 1), 0);
+  if (options_.bound == BoundKind::kPacked) BuildCapacityHulls();
+}
+
+void TopoTreeSearch::BuildCapacityHulls() {
+  const int n = tree_.num_nodes();
+  const bool exact = rounding_slack_ == 0.0;
+  // profile[at[x] + m], m = 0 .. size(x): the largest data weight of a
+  // parent-closed set of at most m nodes of x's subtree that holds x (the
+  // empty set for m = 0). The subtree sizes plus one sum to at most
+  // 64 * 65 / 2 + 64 (a chain). With integer weights every entry is an exact
+  // integer below 2^45.
+  double profile[64 * 65 / 2 + 64];
+  int at[64];
+  int size[64];  // nodes merged into x's profile so far
+  NodeId parent[64];
+  int total = 0;
+  for (NodeId x = 0; x < n; ++x) {
+    const TreeNode& node = tree_.node(x);
+    const size_t i = static_cast<size_t>(x);
+    at[i] = total;
+    total += node.subtree_size + 1;
+    size[i] = 1;
+    parent[i] = node.parent;
+    profile[at[i]] = 0.0;
+    profile[at[i] + 1] = node.kind == NodeKind::kData ? node.weight : 0.0;
+  }
+  // Ids are topologically ordered, so a descending sweep finishes every
+  // subtree before merging it into its parent's profile: the knapsack step
+  // takes a nodes from the parent's part (the parent among them) and m - a
+  // from the child's. Both are non-decreasing in m, so "at most" needs no
+  // extra pass, and a descending m reads only entries not yet rewritten.
+  // The root is never a candidate, so nothing is merged into it.
+  const NodeId root = tree_.root();
+  for (NodeId x = n; x-- > 0;) {
+    const NodeId up = parent[static_cast<size_t>(x)];
+    if (x == root || up == root) continue;
+    const size_t p = static_cast<size_t>(up);
+    double* f = profile + at[p];
+    if ((data_mask_ >> x & 1) != 0) {  // a leaf: take it or not
+      const double w = weight_[static_cast<size_t>(x)];
+      f[size[p] + 1] = f[size[p]] + w;
+      for (int m = size[p]; m >= 2; --m) f[m] = std::max(f[m], f[m - 1] + w);
+      ++size[p];
+      continue;
+    }
+    const int g_size = size[static_cast<size_t>(x)];
+    const double* g = profile + at[static_cast<size_t>(x)];
+    for (int m = size[p] + g_size; m >= 1; --m) {
+      double best = 0.0;
+      for (int a = std::max(1, m - g_size); a <= std::min(size[p], m); ++a) {
+        best = std::max(best, f[a] + g[m - a]);
+      }
+      f[m] = best;
+    }
+    size[p] += g_size;
+  }
+
+  // Index nodes that can be candidates: all but the root.
+  const uint64_t runs = index_mask_ & ~Bit(root);
+  hull_begin_.assign(static_cast<size_t>(n) + 1, 0);
+  for (NodeId x = 0; x < n; ++x) {
+    const size_t i = static_cast<size_t>(x);
+    const int length = (runs >> x & 1) != 0 ? size[i] + 1 : 0;
+    hull_begin_[i + 1] = hull_begin_[i] + length;
+  }
+  if (exact) {
+    hull_fixed_.assign(static_cast<size_t>(hull_begin_.back()), -1);
+  } else {
+    hull_real_.assign(static_cast<size_t>(hull_begin_.back()), -1.0);
+    // Far above the rounding of a hull sum and of the packing's prefix
+    // weights, both below 2^-40 of the total (DESIGN.md §17).
+    capacity_guard_ = tree_.total_data_weight() * 0x1p-36;
+  }
+  for (NodeId x = 0; x < n; ++x) {
+    if ((runs >> x & 1) == 0) continue;
+    const size_t i = static_cast<size_t>(x);
+    const double* f = profile + at[i];
+    // Upper concave hull of the points (m, f[m]): drop a point on or below
+    // the chord of its neighbors. Exact on integer profiles (the products
+    // stay below 2^52). Each run ends in the -1 sentinel left by assign.
+    int hull[65];
+    int h = 0;
+    for (int m = 0; m <= size[i]; ++m) {
+      while (h >= 2) {
+        const int a = hull[h - 2];
+        const int b = hull[h - 1];
+        if ((f[b] - f[a]) * (m - a) > (f[m] - f[a]) * (b - a)) break;
+        --h;
+      }
+      hull[h++] = m;
+    }
+    const size_t begin = static_cast<size_t>(hull_begin_[i]);
+    for (int j = 1; j < h; ++j) {
+      const int run = hull[j] - hull[j - 1];
+      const double rise = f[hull[j]] - f[hull[j - 1]];
+      const size_t from = begin + static_cast<size_t>(hull[j - 1]);
+      const size_t to = begin + static_cast<size_t>(hull[j]);
+      if (exact) {
+        // Rounded up, so no capacity sum falls below the hull's.
+        std::fill(hull_fixed_.begin() + from, hull_fixed_.begin() + to,
+                  ((static_cast<int64_t>(rise) << kHullFractionBits) + run -
+                   1) / run);
+      } else {
+        std::fill(hull_real_.begin() + from, hull_real_.begin() + to,
+                  rise / run);
+      }
+    }
+  }
 }
 
 bool TopoTreeSearch::SubsetLess(uint64_t a, uint64_t b) const {
@@ -459,7 +577,7 @@ uint64_t TopoTreeSearch::RankMask(uint64_t set) const {
 double TopoTreeSearch::LowerBound(uint64_t mask, int depth) const {
   uint64_t levels[64] = {};
   BuildLevels(mask, levels);
-  return LevelsBound(levels, depth);
+  return FullBound(levels, CandidateMask(mask), depth);
 }
 
 double TopoTreeSearch::ChildLowerBound(uint64_t mask, uint64_t subset,
@@ -572,6 +690,118 @@ double TopoTreeSearch::LevelsBound(const uint64_t* levels, int depth) const {
   return bound;
 }
 
+double TopoTreeSearch::FullBound(const uint64_t* levels, uint64_t cand,
+                                 int depth) const {
+  return CapacityBound(levels, cand, LevelsBound(levels, depth),
+                       [](double) { return false; });
+}
+
+template <typename Stop>
+double TopoTreeSearch::CapacityBound(const uint64_t* levels, uint64_t cand,
+                                     double base, Stop stop) const {
+  // With no index candidate every unallocated node is a data candidate, so
+  // the capacity sums are the packing's own prefix sums: no surcharge.
+  if (options_.bound != BoundKind::kPacked || (cand & index_mask_) == 0) {
+    return base;
+  }
+  if (rounding_slack_ == 0.0) {
+    return AddSurcharge(levels, cand, base, hull_fixed_.data(), stop);
+  }
+  return AddSurcharge(levels, cand, base, hull_real_.data(), stop);
+}
+
+// bcast: hot — once per child that survives the release-date cut.
+template <typename Num, typename Stop>
+double TopoTreeSearch::AddSurcharge(const uint64_t* levels, uint64_t cand,
+                                    double base, const Num* hull,
+                                    Stop stop) const {
+  // U = (depth + 1) W + sum over s >= 0 of (W - W_s), where W_s is the data
+  // weight sent in relative slots 0 .. s. The packing's prefix weight G_s
+  // bounds W_s (LevelsBound is the sum with W_s = G_s), and so does the
+  // capacity C_s: the k(s + 1) largest hull increments across the
+  // candidates, since the nodes of those slots are a parent-closed set of
+  // at most k(s + 1) unallocated nodes. Each slot adds max(0, G_s - C_s).
+  constexpr bool kExact = std::is_integral_v<Num>;
+  auto weight = [&](uint64_t ranks) -> Num {
+    const int rank = std::countr_zero(ranks);
+    if constexpr (kExact) {
+      return integer_weight_[static_cast<size_t>(rank)];
+    } else {
+      return data_by_weight_[static_cast<size_t>(rank)].weight;
+    }
+  };
+  // One descending run of increments per candidate, each ending in a -1
+  // sentinel: the data candidates' weights in rank order, then each index
+  // candidate's hull. The largest remaining increment is the largest head.
+  Num data_run[65];
+  int num_data = 0;
+  for (uint64_t ranks = levels[0]; ranks != 0; ranks &= ranks - 1) {
+    if constexpr (kExact) {
+      data_run[num_data++] = weight(ranks) << kHullFractionBits;
+    } else {
+      data_run[num_data++] = weight(ranks);
+    }
+  }
+  data_run[num_data] = -1;
+  const Num* heads[65];
+  int num_heads = 0;
+  heads[num_heads++] = data_run;
+  for (uint64_t ids = cand & index_mask_; ids != 0; ids &= ids - 1) {
+    heads[num_heads++] = hull + hull_begin_[static_cast<size_t>(
+                                    std::countr_zero(ids))];
+  }
+  const int k = options_.num_channels;
+  const int top = num_levels_ - 1;
+  uint64_t unreleased = levels[num_levels_];
+  uint64_t pending = 0;
+  Num placed = 0;    // G_s
+  Num capacity = 0;  // C_s, before rounding
+  Num surcharge = 0;
+  bool counted = false;  // every unallocated node is in C_s
+  for (int slot = 0;; ++slot) {
+    BCAST_DCHECK_LE(slot, 63);
+    const uint64_t released = levels[std::min(slot, top)] & unreleased;
+    pending |= released;
+    unreleased &= ~released;
+    for (int c = 0; c < k && pending != 0; ++c, pending &= pending - 1) {
+      placed += weight(pending);
+    }
+    for (int c = 0; c < k; ++c) {
+      const Num** from = &heads[0];
+      Num best = *heads[0];
+      for (int h = 1; h < num_heads; ++h) {
+        const Num head = *heads[h];
+        from = head > best ? &heads[h] : from;
+        best = head > best ? head : best;
+      }
+      if (best < 0) {
+        counted = true;
+        break;
+      }
+      ++*from;
+      capacity += best;
+    }
+    // `room` never falls below the largest data weight of such a set: in
+    // fixed point every increment was rounded up, and that weight is an
+    // integer, so the floor keeps it; with real weights the guard does.
+    Num room;
+    if constexpr (kExact) {
+      room = capacity >> kHullFractionBits;
+    } else {
+      room = capacity + capacity_guard_;
+    }
+    if (placed > room) {
+      surcharge += placed - room;
+      const double bound = base + static_cast<double>(surcharge);
+      if (stop(bound)) return bound;
+    } else if ((unreleased | pending) == 0) {
+      break;  // every later G_s is the whole weight, already within C_s
+    }
+    if (counted) break;  // room holds all the weight now
+  }
+  return base + static_cast<double>(surcharge);
+}
+
 // ---------------------------------------------------------------------------
 // Depth-first traversal (counting and branch-and-bound)
 // ---------------------------------------------------------------------------
@@ -631,9 +861,9 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t cand,
     if (ctx->stopped) {
       // Abandoned subtree: its cheapest completion costs at least the
       // admissible estimate V + U, folded into the reported lower bound.
-      ctx->frontier_lower = std::min(
-          ctx->frontier_lower,
-          Estimate(v, LevelsBound(FrameLevels(depth), depth)));
+      ctx->frontier_lower =
+          std::min(ctx->frontier_lower,
+                   Estimate(v, FullBound(FrameLevels(depth), cand, depth)));
       return Status::Ok();
     }
   }
@@ -696,27 +926,34 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t cand,
   for (size_t i = 0; i < children.size(); ++i) {
     const uint64_t subset = children[i].set;
     double nv = v + children[i].weight * static_cast<double>(depth + 1);
-    if (optimize) {
-      // Lemmas 1/2: V + U is a lower bound on any completion through subset.
-      // E >= V, so a child whose V alone reaches the cut needs no bound.
-      if (nv >= ctx->best_v || nv > ctx->seed_bound) {
-        ++ctx->stats.bound_cutoffs;
-        continue;
-      }
-      ChildLevels(levels, subset, child_levels);
-      const double est = Estimate(nv, LevelsBound(child_levels, depth + 1));
-      if (est >= ctx->best_v || est > ctx->seed_bound) {
-        ++ctx->stats.bound_cutoffs;
-        continue;
-      }
+    // Lemmas 1/2: V + U is a lower bound on any completion through subset.
+    // E >= V, so a child whose V alone reaches the cut needs no bound, and
+    // one whose release-date part reaches it needs no surcharge.
+    if (optimize && (nv >= ctx->best_v || nv > ctx->seed_bound)) {
+      ++ctx->stats.bound_cutoffs;
+      continue;
     }
     uint64_t child_cand = cand;
     ForEachBit(subset, [&](NodeId id) {
       child_cand |= children_mask_[static_cast<size_t>(id)];
     });
+    child_cand &= ~subset;
+    if (optimize) {
+      const auto cut = [&](double bound) {
+        const double est = Estimate(nv, bound);
+        return est >= ctx->best_v || est > ctx->seed_bound;
+      };
+      ChildLevels(levels, subset, child_levels);
+      const double bound = LevelsBound(child_levels, depth + 1);
+      if (cut(bound) ||
+          cut(CapacityBound(child_levels, child_cand, bound, cut))) {
+        ++ctx->stats.bound_cutoffs;
+        continue;
+      }
+    }
     ctx->current_path.push_back(subset);
-    Status status = Dfs(ctx, mask | subset, child_cand & ~subset, subset,
-                        depth + 1, nv);
+    Status status =
+        Dfs(ctx, mask | subset, child_cand, subset, depth + 1, nv);
     ctx->current_path.pop_back();
     BCAST_RETURN_IF_ERROR(status);
   }

@@ -18,8 +18,9 @@
 //    (Section 3.1), where U(X) is an admissible estimate of the remaining
 //    data wait (by default the release-date bound: each remaining data
 //    node waits for its unallocated ancestors, then the heaviest take the
-//    free channels first), with a transposition memo that skips a state
-//    already entered at no greater V (DESIGN.md §17);
+//    free channels first; plus a capacity surcharge, since index nodes take
+//    channels too), with a transposition memo that skips a state already
+//    entered at no greater V (DESIGN.md §17);
 //  * the paper's best-first search on the same E(X), kept as a second,
 //    independent exact oracle for the tests.
 //
@@ -42,7 +43,19 @@
 // many unallocated ancestors each has. A child's levels come from its
 // parent's by mask algebra (the data below S's index nodes move one level
 // down, S's own data drop out), and the release-date bound packs them slot
-// by slot (DESIGN.md §17). The neighbor lists and the level arrays live in
+// by slot (DESIGN.md §17).
+//
+// The packing lets data use every channel, but the nodes sent in the next
+// s + 1 slots are a parent-closed set of at most k(s + 1) unallocated nodes,
+// index nodes included. Create() runs a tree knapsack once: for each node,
+// the largest data weight of a parent-closed part of its subtree with at
+// most m nodes, stored as the upper concave hull's unit increments. The
+// k(s + 1) largest increments across a state's candidates bound the data
+// weight those slots can carry, and wherever the packing sends more, the
+// difference is added to U. A child the release-date part did not cut gets
+// this surcharge slot by slot, stopping once E reaches the cut.
+//
+// The neighbor lists and the level arrays live in
 // per-depth scratch owned by the search object, and the memo in a table, all
 // reused across calls, so once they have grown a call allocates the same
 // whatever its expansion count (asserted by tests/alloc_free_search_test.cc).
@@ -119,13 +132,16 @@ class TopoTreeSearch {
     /// The paper's U(X): every unallocated data node lands in the very next
     /// slot. Admissible but loose; kept as the ablation.
     kPaperNextSlot,
-    /// Packed release-date bound. A data node with r unallocated ancestors
-    /// cannot go out before r slots from now, since each ancestor takes a
-    /// slot of its own first. Slot by slot, the k heaviest data released by
-    /// then and not yet placed take that slot's channels. This schedules
-    /// unit jobs with release dates on k channels optimally (an exchange
-    /// argument, DESIGN.md §17), so it is admissible and never below the
-    /// plain packing that lets every node start at the next slot. Default.
+    /// Packed release-date bound with a capacity surcharge. A data node
+    /// with r unallocated ancestors cannot go out before r slots from now,
+    /// since each ancestor takes a slot of its own first. Slot by slot, the
+    /// k heaviest data released by then and not yet placed take that slot's
+    /// channels. This schedules unit jobs with release dates on k channels
+    /// optimally (an exchange argument, DESIGN.md §17), so it is admissible
+    /// and never below the plain packing that lets every node start at the
+    /// next slot. Where the packing sends more data weight in the next
+    /// s + 1 slots than any parent-closed set of k(s + 1) nodes holds, the
+    /// excess is added too. Default.
     kPacked,
   };
 
@@ -222,13 +238,21 @@ class TopoTreeSearch {
   /// Admissible lower bound on the *additional* weighted wait of data nodes
   /// not in `mask`, if the next slot index is `depth + 1` (1-based). `mask`
   /// is a search state: it holds the root and the parent of every node in it.
+  /// This is the full U(X) of the configured BoundKind, the capacity
+  /// surcharge included.
   double LowerBound(uint64_t mask, int depth) const;
 
-  /// Test hook, not for library callers: LowerBound(mask | subset,
-  /// depth + 1) for a neighbor `subset` of state `mask`, computed as the
+  /// Test hook, not for library callers: the release-date part of
+  /// LowerBound(mask | subset, depth + 1), without the capacity surcharge,
+  /// for a neighbor `subset` of state `mask`. It is computed as the
   /// optimizing DFS computes it, from the release levels of `mask` moved on
   /// by `subset`.
   double ChildLowerBound(uint64_t mask, uint64_t subset, int depth) const;
+
+  /// Fraction bits of the capacity hull's unit increments when every weight
+  /// is an integer (the exact-sum case of the rounding guard): each
+  /// increment is rounded up to a multiple of 2^-kHullFractionBits.
+  static constexpr int kHullFractionBits = 16;
 
   /// Canonical strict total order on sibling compound sets: data weight
   /// descending, then bitmask ascending. The optimizer visits neighbors in
@@ -290,9 +314,28 @@ class TopoTreeSearch {
                    uint64_t* child) const;
   // True when `levels` are BuildLevels(mask) (the DFS's debug check).
   bool LevelsMatch(uint64_t mask, const uint64_t* levels) const;
-  // The one implementation of U: LowerBound for the state whose release
-  // levels are `levels`, with next slot index depth + 1.
+  // The release-date part of U: LowerBound without the capacity surcharge,
+  // for the state whose release levels are `levels`, with next slot index
+  // depth + 1.
   double LevelsBound(const uint64_t* levels, int depth) const;
+  // Builds the capacity hulls (hull_begin_, hull_fixed_ / hull_real_).
+  void BuildCapacityHulls();
+  // `base` (the state's LevelsBound) plus the capacity surcharge of the
+  // state with release levels `levels` and candidate mask `cand`. The
+  // surcharge is added slot by slot, and the first running total for which
+  // stop(U) holds is returned early; U only grows, so stop(result) holds iff
+  // stop holds for the full bound.
+  template <typename Stop>
+  double CapacityBound(const uint64_t* levels, uint64_t cand, double base,
+                       Stop stop) const;
+  // CapacityBound over hull increments of type Num: int64_t fixed point
+  // with integer weights, double with real ones.
+  template <typename Num, typename Stop>
+  double AddSurcharge(const uint64_t* levels, uint64_t cand, double base,
+                      const Num* hull, Stop stop) const;
+  // The full U of the state: CapacityBound(levels, cand,
+  // LevelsBound(levels, depth)) with no early stop.
+  double FullBound(const uint64_t* levels, uint64_t cand, int depth) const;
   // The optimizing DFS's release levels for its frame at `depth`.
   uint64_t* FrameLevels(int depth) {
     return frame_levels_.data() +
@@ -342,6 +385,19 @@ class TopoTreeSearch {
   // expansion allocates nothing.
   std::vector<std::vector<uint64_t>> level_scratch_;
   std::vector<std::vector<Child>> level_children_;
+  // Capacity hulls, fixed at construction (kPacked only). For a non-root
+  // index node x, entries [hull_begin_[x], hull_begin_[x + 1]) are the unit
+  // increments, descending, of the upper concave hull of m -> the largest
+  // data weight of a parent-closed set of at most m nodes of x's subtree
+  // holding x (m = 0 .. subtree size), then a -1 sentinel. The root (never
+  // a candidate) and data nodes have none: a data candidate's one increment
+  // is its weight. With integer weights the increments are fixed point
+  // (kHullFractionBits), rounded up, in hull_fixed_; else doubles in
+  // hull_real_, and capacity_guard_ is added to every capacity sum.
+  std::vector<int> hull_begin_;
+  std::vector<int64_t> hull_fixed_;
+  std::vector<double> hull_real_;
+  double capacity_guard_ = 0.0;
   // Release levels per state: a datum has at most (tree height - 2)
   // unallocated ancestors, so num_levels_ = max(1, height - 1) levels. The
   // optimizing DFS keeps one array of them per depth, like level_scratch_.

@@ -334,9 +334,11 @@ TEST(ReleaseDateBoundTest, SixtyFourNodeTreesReachTheTopOfTheSlotWindow) {
 // Reference: the item-wise form of the release-date bound. Heaviest first
 // (ties by ascending id), each unallocated datum takes the earliest relative
 // slot at or after its release (its unallocated ancestors) with a free
-// channel, and the terms are summed in that order.
+// channel, and the terms are summed in that order. `slot_weight`, if given,
+// gets the data weight placed in each relative slot.
 double ItemwiseGreedyBound(const IndexTree& tree, int k, uint64_t mask,
-                           int depth) {
+                           int depth,
+                           std::vector<double>* slot_weight = nullptr) {
   struct Item {
     NodeId id;
     double weight;
@@ -361,6 +363,10 @@ double ItemwiseGreedyBound(const IndexTree& tree, int k, uint64_t mask,
     const int slot = release + std::countr_zero(~full >> release);
     bound += d.weight * static_cast<double>(depth + 1 + slot);
     if (++taken[slot] == k) full |= uint64_t{1} << slot;
+    if (slot_weight != nullptr) {
+      slot_weight->resize(std::max(slot_weight->size(), size_t{64}), 0.0);
+      (*slot_weight)[static_cast<size_t>(slot)] += d.weight;
+    }
   }
   return bound;
 }
@@ -447,6 +453,218 @@ TEST(ReleaseDateBoundTest, InheritedBoundMatchesItemwiseGreedy) {
     // Unpruned, the star has C(63, k) children per state; pruned, one.
     EXPECT_EQ(CheckAllChildBounds(star, channels, /*pruned=*/true, 100),
               static_cast<uint64_t>((63 + channels - 1) / channels));
+  }
+}
+
+// --- the capacity surcharge --------------------------------------------------
+
+// Calls fn(mask, depth) on every state of the (possibly reduced) topological
+// tree below (mask, last_set, depth), each once, at most `max_states`.
+template <typename Fn>
+void ForEachState(const TopoTreeSearch& search, uint64_t mask,
+                  uint64_t last_set, int depth,
+                  std::set<std::tuple<uint64_t, uint64_t, int>>* seen,
+                  size_t max_states, Fn fn) {
+  if (seen->size() >= max_states) return;
+  const bool pruned = search.options().prune_candidates;
+  if (!seen->insert({mask, pruned ? last_set : 0, depth}).second) return;
+  fn(mask, depth);
+  if (mask == search.full_mask()) return;
+  std::vector<uint64_t> neighbors;
+  search.GenerateNeighbors(mask, last_set, &neighbors, nullptr);
+  for (uint64_t subset : neighbors) {
+    ForEachState(search, mask | subset, subset, depth + 1, seen, max_states,
+                 fn);
+  }
+}
+
+// best[m]: the largest data weight of a parent-closed set of at most m nodes
+// of x's subtree that holds x (best[0] = 0), by a plain recursive knapsack.
+std::vector<int64_t> SubtreeProfile(const IndexTree& tree, NodeId x) {
+  std::vector<int64_t> best = {
+      0, tree.is_data(x) ? static_cast<int64_t>(tree.weight(x)) : 0};
+  for (NodeId child : tree.children(x)) {
+    const std::vector<int64_t> sub = SubtreeProfile(tree, child);
+    std::vector<int64_t> merged(best.size() + sub.size() - 1, 0);
+    for (size_t a = 1; a < best.size(); ++a) {
+      for (size_t b = 0; b < sub.size(); ++b) {
+        merged[a + b] = std::max(merged[a + b], best[a] + sub[b]);
+      }
+    }
+    for (size_t m = 1; m < merged.size(); ++m) {
+      merged[m] = std::max(merged[m], merged[m - 1]);
+    }
+    best = merged;
+  }
+  return best;
+}
+
+// The upper concave hull of the points (m, profile[m]) as unit increments in
+// the search's fixed point, each rounded up. Gift wrapping: from each hull
+// point, the steepest chord, the farthest point on ties.
+std::vector<int64_t> HullIncrements(const std::vector<int64_t>& profile) {
+  std::vector<int64_t> units;
+  const int64_t last = static_cast<int64_t>(profile.size()) - 1;
+  for (int64_t a = 0; a < last;) {
+    int64_t b = a + 1;
+    for (int64_t c = a + 2; c <= last; ++c) {
+      if ((profile[static_cast<size_t>(c)] - profile[static_cast<size_t>(a)]) *
+              (b - a) >=
+          (profile[static_cast<size_t>(b)] - profile[static_cast<size_t>(a)]) *
+              (c - a)) {
+        b = c;
+      }
+    }
+    const int64_t rise =
+        profile[static_cast<size_t>(b)] - profile[static_cast<size_t>(a)];
+    const int64_t scaled = rise << TopoTreeSearch::kHullFractionBits;
+    for (int64_t u = a; u < b; ++u) {
+      units.push_back((scaled + (b - a) - 1) / (b - a));
+    }
+    a = b;
+  }
+  return units;
+}
+
+// The capacity surcharge of state `mask`, from scratch, for integer weights:
+// the sum over relative slots s of max(0, G_s - C_s), with G_s the item-wise
+// greedy's data weight in slots 0..s and C_s the k(s + 1) largest hull
+// increments of the state's candidates, floored to an integer.
+double ReferenceSurcharge(const IndexTree& tree, int k, uint64_t mask) {
+  std::vector<double> slot_weight;
+  ItemwiseGreedyBound(tree, k, mask, /*depth=*/0, &slot_weight);
+  std::vector<int64_t> increments;
+  for (NodeId x = 0; x < tree.num_nodes(); ++x) {
+    if ((mask >> x & 1) != 0 || x == tree.root() ||
+        (mask >> tree.parent(x) & 1) == 0) {
+      continue;  // allocated, or not a candidate
+    }
+    for (int64_t unit : HullIncrements(SubtreeProfile(tree, x))) {
+      increments.push_back(unit);
+    }
+  }
+  std::sort(increments.rbegin(), increments.rend());
+  int64_t surcharge = 0;
+  int64_t placed = 0;
+  int64_t capacity = 0;
+  size_t taken = 0;
+  for (int s = 0; s < 64; ++s) {
+    if (!slot_weight.empty()) {
+      placed += static_cast<int64_t>(slot_weight[static_cast<size_t>(s)]);
+    }
+    for (int c = 0; c < k && taken < increments.size(); ++c) {
+      capacity += increments[taken++];
+    }
+    surcharge += std::max<int64_t>(
+        0, placed - (capacity >> TopoTreeSearch::kHullFractionBits));
+  }
+  return static_cast<double>(surcharge);
+}
+
+TEST(CapacityBoundTest, SurchargeMatchesFromScratchReference) {
+  uint64_t states = 0;
+  uint64_t surcharged = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(80'000 + seed);
+    const IndexTree tree =
+        MakeRandomTree(&rng, 5 + static_cast<int>(seed % 5),
+                       2 + static_cast<int>(seed % 3), /*max_nodes=*/14);
+    for (int channels = 2; channels <= 4; ++channels) {
+      for (bool pruned : {false, true}) {
+        auto search =
+            TopoTreeSearch::Create(tree, MakeOptions(channels, pruned));
+        ASSERT_TRUE(search.ok());
+        std::set<std::tuple<uint64_t, uint64_t, int>> seen;
+        const uint64_t root = uint64_t{1} << tree.root();
+        ForEachState(*search, root, root, 1, &seen, 2'000,
+                     [&](uint64_t mask, int depth) {
+                       const double release =
+                           ItemwiseGreedyBound(tree, channels, mask, depth);
+                       const double surcharge =
+                           ReferenceSurcharge(tree, channels, mask);
+                       EXPECT_EQ(search->LowerBound(mask, depth),
+                                 release + surcharge)
+                           << "mask " << mask << " depth " << depth << " k "
+                           << channels << "\n"
+                           << tree.ToString();
+                       ++states;
+                       if (surcharge > 0.0) ++surcharged;
+                     });
+      }
+    }
+  }
+  EXPECT_GT(states, 50'000u);
+  EXPECT_GT(surcharged, states / 10);
+}
+
+TEST(CapacityBoundTest, AdmissibleOnRealWeights) {
+  // AdmissibleAndNeverBelowThePaperBound on real weights, where the
+  // surcharge is summed in doubles under its rounding guard.
+  uint64_t states = 0;
+  uint64_t surcharged = 0;
+  for (int channels = 2; channels <= 3; ++channels) {
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+      Rng rng(81'000 + seed);
+      const IndexTree shape =
+          MakeRandomTree(&rng, 6 + static_cast<int>(seed % 3),
+                         2 + static_cast<int>(seed % 3), /*max_nodes=*/12);
+      IndexTree tree;
+      for (NodeId id = 0; id < shape.num_nodes(); ++id) {
+        if (shape.is_index(id)) {
+          tree.AddIndexNode(shape.parent(id));
+        } else {
+          tree.AddDataNode(shape.parent(id), rng.UniformDouble(0.01, 1.0));
+        }
+      }
+      ASSERT_TRUE(tree.Finalize().ok());
+      TopoTreeSearch::Options paper_options = MakeOptions(channels, false);
+      paper_options.bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
+      auto search = TopoTreeSearch::Create(tree, MakeOptions(channels, false));
+      auto paper = TopoTreeSearch::Create(tree, paper_options);
+      ASSERT_TRUE(search.ok() && paper.ok());
+      std::map<std::pair<uint64_t, int>, double> completions;
+      OptimalCompletion(*search, uint64_t{1} << tree.root(), 1, &completions);
+      for (const auto& [key, completion] : completions) {
+        const auto [mask, depth] = key;
+        const double bound = search->LowerBound(mask, depth);
+        EXPECT_LE(paper->LowerBound(mask, depth), bound)
+            << "mask " << mask << " depth " << depth << "\n" << tree.ToString();
+        EXPECT_LE(bound, completion * (1.0 + 1e-12))
+            << "mask " << mask << " depth " << depth << "\n" << tree.ToString();
+        if (bound > ItemwiseGreedyBound(tree, channels, mask, depth)) {
+          ++surcharged;
+        }
+        ++states;
+      }
+    }
+  }
+  EXPECT_GT(states, 10'000u);
+  EXPECT_GT(surcharged, states / 10);
+}
+
+TEST(CapacityBoundTest, BranchyRootBoundIsTighter) {
+  // Four index nodes under the root, one datum of weight 10 under each, on
+  // two channels. Every datum is released one slot after the next one, so
+  // the release-date packing sends two in relative slot 1 and two in slot
+  // 2: U = 20 * 3 + 20 * 4 = 140 at the root (next slot index 2). But each
+  // index node's profile is 0, 0, 10 over 0, 1, 2 nodes, a hull of two
+  // increments of 5, so three slots (six nodes) carry at most 30 of the 40
+  // the packing has sent by relative slot 2: U = 140 + 10 = 150. The
+  // optimum sends two index nodes, their data, the other two index nodes
+  // and their data: 20 * 3 + 20 * 5 = 160.
+  IndexTree tree;
+  const NodeId root = tree.AddIndexNode(kInvalidNode);
+  for (int i = 0; i < 4; ++i) tree.AddDataNode(tree.AddIndexNode(root), 10.0);
+  ASSERT_TRUE(tree.Finalize().ok());
+  const uint64_t root_mask = uint64_t{1} << root;
+  EXPECT_EQ(ItemwiseGreedyBound(tree, 2, root_mask, 1), 140.0);
+  for (bool pruned : {false, true}) {
+    auto search = TopoTreeSearch::Create(tree, MakeOptions(2, pruned));
+    ASSERT_TRUE(search.ok());
+    EXPECT_EQ(search->LowerBound(root_mask, 1), 150.0);
+    auto plan = search->FindOptimalDfs();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->average_data_wait * tree.total_data_weight(), 160.0);
   }
 }
 
