@@ -1,9 +1,9 @@
 // Exact-search cost: TopoTreeSearch::FindOptimalDfs, the one exact optimizer
-// for k >= 2 channels, on Table-1-class inputs (full balanced m-ary index
-// trees, uniform random data weights, k = 2/3 channels — the regime where
-// the exact search is affordable but not trivial) plus deep skewed random
-// families, the largest of which (deep18_k2) is the hardest instance the
-// suite affords.
+// for every channel count, on Table-1-class inputs (full balanced m-ary
+// index trees, uniform random data weights, k = 2/3 channels — the regime
+// where the exact search is affordable but not trivial) plus deep skewed
+// random families at k = 1, 2 and 3, the largest of which (deep18_k2) is
+// the hardest instance the suite affords.
 //
 // Per instance it reports `repeats` runs. Each run times the unseeded DFS
 // and counts the expansions of the unseeded DFS and of the DFS seeded with
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
                                           {3, 11, 3, "rand11"},
                                           {2, 18, 2, "deep18"}};
   for (const RandomFamily& family : random_families) {
-    for (int channels : {2, 3}) {
+    for (int channels : {1, 2, 3}) {
       bcast::Rng rng(family.seed);
       bcast::IndexTree tree =
           bcast::MakeRandomTree(&rng, family.num_data, family.max_fanout);

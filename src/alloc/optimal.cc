@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "alloc/baselines.h"
-#include "alloc/data_tree.h"
 #include "alloc/heuristics.h"
 #include "alloc/topo_search.h"
 #include "obs/obs.h"
@@ -68,16 +67,6 @@ Result<AllocationResult> FindOptimalAllocation(const IndexTree& tree,
   const bool budgeted = options.budget.active();
   if (num_channels >= tree.max_level_width()) {
     return LevelAllocation(tree, num_channels);
-  }
-  // The data-tree fast path has no anytime support; with an active budget
-  // the one-channel case routes through the budget-aware topological search
-  // instead (same optimum, and the degradation ladder stays uniform).
-  if (num_channels == 1 && options.use_pruning && !budgeted) {
-    DataTreeOptions dt_options;
-    dt_options.max_steps = options.max_expansions;
-    auto search = DataTreeSearch::Create(tree, dt_options);
-    if (!search.ok()) return search.status();
-    return search->FindOptimal();
   }
   TopoTreeSearch::Options topo_options;
   topo_options.num_channels = num_channels;

@@ -1,12 +1,12 @@
-// One-call exact optimizer: dispatches to the cheapest exact method for the
-// given instance.
+// One-call exact optimizer:
 //
 //  * num_channels >= max level width  ->  level allocation (Corollary 1:
 //    every data node d attains its floor T(d) = level(d), so this is optimal
 //    in O(N));
-//  * one channel                      ->  data-tree search (Section 3.3);
-//  * otherwise                        ->  pruned topological-tree
-//    branch-and-bound (Sections 3.1–3.2).
+//  * otherwise, one channel included  ->  pruned topological-tree
+//    branch-and-bound (Sections 3.1–3.2). With its release-date bound it
+//    plans one channel faster than the data-tree search of Section 3.3,
+//    which stays for the paper's census and as the tests' oracle.
 
 #ifndef BCAST_ALLOC_OPTIMAL_H_
 #define BCAST_ALLOC_OPTIMAL_H_

@@ -6,7 +6,6 @@
 #include <limits>
 #include <queue>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 
 #include "obs/obs.h"
@@ -191,12 +190,18 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
   // Integer weights with a small total make every V and U an exact integer
   // sum, so E needs no rounding guard (see Estimate). No V or U exceeds
   // total weight x 128 slots, far below 2^53 under this cap.
-  bool exact_sums = tree.total_data_weight() <= 0x1p44;
+  const double total = tree.total_data_weight();
+  bool exact_sums = total <= 0x1p44;
   for (const DataItem& d : data_by_weight_) {
     exact_sums = exact_sums && d.weight == std::floor(d.weight);
   }
   rounding_slack_ = exact_sums ? 0.0 : 0x1p-44;
-  integer_weight_.assign(64, 0);
+  if (!exact_sums) {
+    int exponent = 0;
+    std::frexp(total, &exponent);  // total < 2^exponent
+    unit_ = std::ldexp(1.0, exponent - 44);
+  }
+  unit_weight_.assign(64, 0);
   rank_bit_.assign(static_cast<size_t>(n), 0);
   descendant_ranks_.assign(static_cast<size_t>(n), 0);
   heavier_ranks_.assign(static_cast<size_t>(n), 0);
@@ -213,7 +218,7 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
                                                             << rank;
     }
     rank_bit_[static_cast<size_t>(d.id)] = uint64_t{1} << rank;
-    if (exact_sums) integer_weight_[rank] = static_cast<int64_t>(d.weight);
+    unit_weight_[rank] = static_cast<int64_t>(std::floor(d.weight / unit_));
     ForEachBit(d.ancestors, [&](NodeId a) {
       descendant_ranks_[static_cast<size_t>(a)] |= uint64_t{1} << rank;
     });
@@ -253,17 +258,20 @@ TopoTreeSearch::TopoTreeSearch(const IndexTree& tree, Options options)
 
 void TopoTreeSearch::BuildCapacityHulls() {
   const int n = tree_.num_nodes();
-  const bool exact = rounding_slack_ == 0.0;
-  // profile[at[x] + m], m = 0 .. size(x): the largest data weight of a
-  // parent-closed set of at most m nodes of x's subtree that holds x (the
-  // empty set for m = 0). The subtree sizes plus one sum to at most
-  // 64 * 65 / 2 + 64 (a chain). With integer weights every entry is an exact
-  // integer below 2^45.
-  double profile[64 * 65 / 2 + 64];
+  // profile[at[x] + m], m = 0 .. size(x): the largest data weight, in units,
+  // of a parent-closed set of at most m nodes of x's subtree that holds x
+  // (the empty set for m = 0). The subtree sizes plus one sum to at most
+  // 64 * 65 / 2 + 64 (a chain). Every entry is at most 2^44.
+  int64_t profile[64 * 65 / 2 + 64];
   int at[64];
   int size[64];  // nodes merged into x's profile so far
   NodeId parent[64];
   int total = 0;
+  auto units = [&](NodeId x) {
+    const uint64_t rank = rank_bit_[static_cast<size_t>(x)];
+    return rank == 0 ? int64_t{0}
+                     : unit_weight_[static_cast<size_t>(std::countr_zero(rank))];
+  };
   for (NodeId x = 0; x < n; ++x) {
     const TreeNode& node = tree_.node(x);
     const size_t i = static_cast<size_t>(x);
@@ -271,8 +279,8 @@ void TopoTreeSearch::BuildCapacityHulls() {
     total += node.subtree_size + 1;
     size[i] = 1;
     parent[i] = node.parent;
-    profile[at[i]] = 0.0;
-    profile[at[i] + 1] = node.kind == NodeKind::kData ? node.weight : 0.0;
+    profile[at[i]] = 0;
+    profile[at[i] + 1] = units(x);
   }
   // Ids are topologically ordered, so a descending sweep finishes every
   // subtree before merging it into its parent's profile: the knapsack step
@@ -285,18 +293,18 @@ void TopoTreeSearch::BuildCapacityHulls() {
     const NodeId up = parent[static_cast<size_t>(x)];
     if (x == root || up == root) continue;
     const size_t p = static_cast<size_t>(up);
-    double* f = profile + at[p];
+    int64_t* f = profile + at[p];
     if ((data_mask_ >> x & 1) != 0) {  // a leaf: take it or not
-      const double w = weight_[static_cast<size_t>(x)];
+      const int64_t w = units(x);
       f[size[p] + 1] = f[size[p]] + w;
       for (int m = size[p]; m >= 2; --m) f[m] = std::max(f[m], f[m - 1] + w);
       ++size[p];
       continue;
     }
     const int g_size = size[static_cast<size_t>(x)];
-    const double* g = profile + at[static_cast<size_t>(x)];
+    const int64_t* g = profile + at[static_cast<size_t>(x)];
     for (int m = size[p] + g_size; m >= 1; --m) {
-      double best = 0.0;
+      int64_t best = 0;
       for (int a = std::max(1, m - g_size); a <= std::min(size[p], m); ++a) {
         best = std::max(best, f[a] + g[m - a]);
       }
@@ -313,21 +321,14 @@ void TopoTreeSearch::BuildCapacityHulls() {
     const int length = (runs >> x & 1) != 0 ? size[i] + 1 : 0;
     hull_begin_[i + 1] = hull_begin_[i] + length;
   }
-  if (exact) {
-    hull_fixed_.assign(static_cast<size_t>(hull_begin_.back()), -1);
-  } else {
-    hull_real_.assign(static_cast<size_t>(hull_begin_.back()), -1.0);
-    // Far above the rounding of a hull sum and of the packing's prefix
-    // weights, both below 2^-40 of the total (DESIGN.md §17).
-    capacity_guard_ = tree_.total_data_weight() * 0x1p-36;
-  }
+  hull_.assign(static_cast<size_t>(hull_begin_.back()), -1);
   for (NodeId x = 0; x < n; ++x) {
     if ((runs >> x & 1) == 0) continue;
     const size_t i = static_cast<size_t>(x);
-    const double* f = profile + at[i];
+    const int64_t* f = profile + at[i];
     // Upper concave hull of the points (m, f[m]): drop a point on or below
-    // the chord of its neighbors. Exact on integer profiles (the products
-    // stay below 2^52). Each run ends in the -1 sentinel left by assign.
+    // the chord of its neighbors (the products stay below 2^51). Each run
+    // ends in the -1 sentinel left by assign.
     int hull[65];
     int h = 0;
     for (int m = 0; m <= size[i]; ++m) {
@@ -342,18 +343,12 @@ void TopoTreeSearch::BuildCapacityHulls() {
     const size_t begin = static_cast<size_t>(hull_begin_[i]);
     for (int j = 1; j < h; ++j) {
       const int run = hull[j] - hull[j - 1];
-      const double rise = f[hull[j]] - f[hull[j - 1]];
+      const int64_t rise = f[hull[j]] - f[hull[j - 1]];
       const size_t from = begin + static_cast<size_t>(hull[j - 1]);
       const size_t to = begin + static_cast<size_t>(hull[j]);
-      if (exact) {
-        // Rounded up, so no capacity sum falls below the hull's.
-        std::fill(hull_fixed_.begin() + from, hull_fixed_.begin() + to,
-                  ((static_cast<int64_t>(rise) << kHullFractionBits) + run -
-                   1) / run);
-      } else {
-        std::fill(hull_real_.begin() + from, hull_real_.begin() + to,
-                  rise / run);
-      }
+      // Rounded up, so no capacity sum falls below the hull's.
+      std::fill(hull_.begin() + from, hull_.begin() + to,
+                ((rise << kHullFractionBits) + run - 1) / run);
     }
   }
 }
@@ -586,7 +581,9 @@ double TopoTreeSearch::ChildLowerBound(uint64_t mask, uint64_t subset,
   uint64_t child[64] = {};
   BuildLevels(mask, levels);
   ChildLevels(levels, subset, child);
-  return LevelsBound(child, depth + 1);
+  Packing packing;
+  LevelsBound(child, depth + 1, &packing);
+  return FromUnits(packing.bound);
 }
 
 void TopoTreeSearch::BuildLevels(uint64_t mask, uint64_t* levels) const {
@@ -627,14 +624,17 @@ bool TopoTreeSearch::LevelsMatch(uint64_t mask, const uint64_t* levels) const {
 }
 
 // bcast: hot — admissible bound, evaluated per child.
-double TopoTreeSearch::LevelsBound(const uint64_t* levels, int depth) const {
+void TopoTreeSearch::LevelsBound(const uint64_t* levels, int depth,
+                                 Packing* packing) const {
   uint64_t ranks = levels[num_levels_];  // every unallocated datum
-  double bound = 0.0;
+  packing->num_slots = 0;
   if (options_.bound == BoundKind::kPaperNextSlot) {
+    int64_t weight = 0;
     for (; ranks != 0; ranks &= ranks - 1) {
-      bound += Heaviest(ranks).weight * static_cast<double>(depth + 1);
+      weight += unit_weight_[static_cast<size_t>(std::countr_zero(ranks))];
     }
-    return bound;
+    packing->bound = weight * (depth + 1);
+    return;
   }
   // Release-date bound: a remaining datum with r unallocated ancestors
   // cannot be sent before relative slot r, since each of them needs its own
@@ -642,135 +642,88 @@ double TopoTreeSearch::LevelsBound(const uint64_t* levels, int depth) const {
   // placed take the slot; an exchange argument makes this exact for unit
   // jobs with release dates on k channels, and it places every datum where
   // the heaviest-first, earliest-free-slot greedy does (DESIGN.md §17).
-  // pack(place) calls place(rank, slot index) once per datum, and with rank
-  // 63 for each pick from an empty `pending`: a tree of two or more nodes
-  // has an index root, so at most 63 data exist and rank 63 holds none.
+  // Each slot makes k picks without a branch, a pick from an empty
+  // `pending` taking rank 63: a tree of two or more nodes has an index
+  // root, so at most 63 data exist and rank 63 weighs 0.
+  constexpr uint64_t kNoRank = uint64_t{1} << 63;
   const int k = std::min(options_.num_channels, 63);
-  auto pack = [&](auto&& place) {
-    constexpr uint64_t kNoRank = uint64_t{1} << 63;
-    const int top = num_levels_ - 1;
-    uint64_t unreleased = ranks;
-    uint64_t pending = 0;  // released, not yet placed
-    for (int slot = 0; (unreleased | pending) != 0; ++slot) {
-      // At most 63 nodes are unallocated (the root never is). A datum placed
-      // at `slot`, its r unallocated ancestors and one datum per full slot
-      // in [r, slot) are distinct unallocated nodes, so slot <= 62. Past the
-      // top level every datum is released, so the clamped read adds nothing.
-      BCAST_DCHECK_LE(slot, 62);
-      const uint64_t released = levels[std::min(slot, top)] & unreleased;
-      pending |= released;
-      unreleased &= ~released;
-      // The k heaviest pending data take the slot; branch-free, since an
-      // empty `pending` stays empty.
-      for (int c = 0; c < k; ++c) {
-        place(std::countr_zero(pending | kNoRank), depth + 1 + slot);
-        pending &= pending - 1;
-      }
+  const int top = num_levels_ - 1;
+  uint64_t unreleased = ranks;
+  uint64_t pending = 0;  // released, not yet placed
+  int64_t bound = 0;
+  int64_t placed = 0;
+  int slot = 0;
+  for (; (unreleased | pending) != 0; ++slot) {
+    // At most 63 nodes are unallocated (the root never is). A datum placed
+    // at `slot`, its r unallocated ancestors and one datum per full slot in
+    // [r, slot) are distinct unallocated nodes, so slot <= 62. Past the top
+    // level every datum is released, so the clamped read adds nothing.
+    BCAST_DCHECK_LE(slot, 62);
+    const uint64_t released = levels[std::min(slot, top)] & unreleased;
+    pending |= released;
+    unreleased &= ~released;
+    int64_t slot_weight = 0;
+    for (int c = 0; c < k; ++c) {
+      slot_weight +=
+          unit_weight_[static_cast<size_t>(std::countr_zero(pending | kNoRank))];
+      pending &= pending - 1;
     }
-  };
-  if (rounding_slack_ == 0.0) {
-    // Integer weights: every sum is exact (see Estimate), so the terms are
-    // added in integers, in packing order, and the total converts exactly.
-    // This skips the second pass below and its chain of dependent double
-    // additions (about 1.2x plan_exact throughput, DESIGN.md §17).
-    int64_t exact = 0;
-    pack([&](int rank, int slot_index) {
-      exact += integer_weight_[static_cast<size_t>(rank)] * slot_index;
-    });
-    return static_cast<double>(exact);
+    bound += slot_weight * (depth + 1 + slot);
+    placed += slot_weight;
+    packing->prefix[slot] = placed;
   }
-  // Real weights: summed heaviest first, as the item-wise greedy summed, so
-  // U and every cut it makes are bit-identical to it.
-  int multiplier[64] = {};  // by weight rank: its slot index
-  pack([&](int rank, int slot_index) { multiplier[rank] = slot_index; });
-  for (; ranks != 0; ranks &= ranks - 1) {
-    bound += Heaviest(ranks).weight *
-             static_cast<double>(multiplier[std::countr_zero(ranks)]);
-  }
-  return bound;
-}
-
-double TopoTreeSearch::FullBound(const uint64_t* levels, uint64_t cand,
-                                 int depth) const {
-  return CapacityBound(levels, cand, LevelsBound(levels, depth),
-                       [](double) { return false; });
-}
-
-template <typename Stop>
-double TopoTreeSearch::CapacityBound(const uint64_t* levels, uint64_t cand,
-                                     double base, Stop stop) const {
-  // With no index candidate every unallocated node is a data candidate, so
-  // the capacity sums are the packing's own prefix sums: no surcharge.
-  if (options_.bound != BoundKind::kPacked || (cand & index_mask_) == 0) {
-    return base;
-  }
-  if (rounding_slack_ == 0.0) {
-    return AddSurcharge(levels, cand, base, hull_fixed_.data(), stop);
-  }
-  return AddSurcharge(levels, cand, base, hull_real_.data(), stop);
+  packing->num_slots = slot;
+  packing->bound = bound;
 }
 
 // bcast: hot — once per child that survives the release-date cut.
-template <typename Num, typename Stop>
-double TopoTreeSearch::AddSurcharge(const uint64_t* levels, uint64_t cand,
-                                    double base, const Num* hull,
+template <typename Stop>
+double TopoTreeSearch::AddSurcharge(const Packing& packing,
+                                    uint64_t data_ranks, uint64_t cand,
                                     Stop stop) const {
+  // With no index candidate every unallocated node is a data candidate, so
+  // the capacity sums are the packing's own prefix sums: no surcharge.
+  if (options_.bound != BoundKind::kPacked || (cand & index_mask_) == 0 ||
+      packing.num_slots == 0) {
+    return FromUnits(packing.bound);
+  }
   // U = (depth + 1) W + sum over s >= 0 of (W - W_s), where W_s is the data
   // weight sent in relative slots 0 .. s. The packing's prefix weight G_s
   // bounds W_s (LevelsBound is the sum with W_s = G_s), and so does the
   // capacity C_s: the k(s + 1) largest hull increments across the
   // candidates, since the nodes of those slots are a parent-closed set of
   // at most k(s + 1) unallocated nodes. Each slot adds max(0, G_s - C_s).
-  constexpr bool kExact = std::is_integral_v<Num>;
-  auto weight = [&](uint64_t ranks) -> Num {
-    const int rank = std::countr_zero(ranks);
-    if constexpr (kExact) {
-      return integer_weight_[static_cast<size_t>(rank)];
-    } else {
-      return data_by_weight_[static_cast<size_t>(rank)].weight;
-    }
-  };
+  //
   // One descending run of increments per candidate, each ending in a -1
   // sentinel: the data candidates' weights in rank order, then each index
   // candidate's hull. The largest remaining increment is the largest head.
-  Num data_run[65];
+  int64_t data_run[65];
   int num_data = 0;
-  for (uint64_t ranks = levels[0]; ranks != 0; ranks &= ranks - 1) {
-    if constexpr (kExact) {
-      data_run[num_data++] = weight(ranks) << kHullFractionBits;
-    } else {
-      data_run[num_data++] = weight(ranks);
-    }
+  for (; data_ranks != 0; data_ranks &= data_ranks - 1) {
+    data_run[num_data++] =
+        unit_weight_[static_cast<size_t>(std::countr_zero(data_ranks))]
+        << kHullFractionBits;
   }
   data_run[num_data] = -1;
-  const Num* heads[65];
+  const int64_t* heads[65];
   int num_heads = 0;
   heads[num_heads++] = data_run;
   for (uint64_t ids = cand & index_mask_; ids != 0; ids &= ids - 1) {
-    heads[num_heads++] = hull + hull_begin_[static_cast<size_t>(
-                                    std::countr_zero(ids))];
+    heads[num_heads++] = hull_.data() + hull_begin_[static_cast<size_t>(
+                                            std::countr_zero(ids))];
   }
   const int k = options_.num_channels;
-  const int top = num_levels_ - 1;
-  uint64_t unreleased = levels[num_levels_];
-  uint64_t pending = 0;
-  Num placed = 0;    // G_s
-  Num capacity = 0;  // C_s, before rounding
-  Num surcharge = 0;
+  const int last = packing.num_slots - 1;
+  int64_t capacity = 0;  // C_s, before rounding
+  int64_t surcharge = 0;
   bool counted = false;  // every unallocated node is in C_s
   for (int slot = 0;; ++slot) {
     BCAST_DCHECK_LE(slot, 63);
-    const uint64_t released = levels[std::min(slot, top)] & unreleased;
-    pending |= released;
-    unreleased &= ~released;
-    for (int c = 0; c < k && pending != 0; ++c, pending &= pending - 1) {
-      placed += weight(pending);
-    }
     for (int c = 0; c < k; ++c) {
-      const Num** from = &heads[0];
-      Num best = *heads[0];
+      const int64_t** from = &heads[0];
+      int64_t best = *heads[0];
       for (int h = 1; h < num_heads; ++h) {
-        const Num head = *heads[h];
+        const int64_t head = *heads[h];
         from = head > best ? &heads[h] : from;
         best = head > best ? head : best;
       }
@@ -781,25 +734,28 @@ double TopoTreeSearch::AddSurcharge(const uint64_t* levels, uint64_t cand,
       ++*from;
       capacity += best;
     }
-    // `room` never falls below the largest data weight of such a set: in
-    // fixed point every increment was rounded up, and that weight is an
-    // integer, so the floor keeps it; with real weights the guard does.
-    Num room;
-    if constexpr (kExact) {
-      room = capacity >> kHullFractionBits;
-    } else {
-      room = capacity + capacity_guard_;
-    }
+    // `room` never falls below the largest data weight of such a set: every
+    // increment was rounded up, and that weight is a whole number of units,
+    // so the floor keeps it.
+    const int64_t placed = packing.prefix[std::min(slot, last)];  // G_s
+    const int64_t room = capacity >> kHullFractionBits;
     if (placed > room) {
       surcharge += placed - room;
-      const double bound = base + static_cast<double>(surcharge);
+      const double bound = FromUnits(packing.bound + surcharge);
       if (stop(bound)) return bound;
-    } else if ((unreleased | pending) == 0) {
+    } else if (slot >= last) {
       break;  // every later G_s is the whole weight, already within C_s
     }
     if (counted) break;  // room holds all the weight now
   }
-  return base + static_cast<double>(surcharge);
+  return FromUnits(packing.bound + surcharge);
+}
+
+double TopoTreeSearch::FullBound(const uint64_t* levels, uint64_t cand,
+                                 int depth) const {
+  Packing packing;
+  LevelsBound(levels, depth, &packing);
+  return AddSurcharge(packing, levels[0], cand, [](double) { return false; });
 }
 
 // ---------------------------------------------------------------------------
@@ -944,9 +900,10 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t cand,
         return est >= ctx->best_v || est > ctx->seed_bound;
       };
       ChildLevels(levels, subset, child_levels);
-      const double bound = LevelsBound(child_levels, depth + 1);
-      if (cut(bound) ||
-          cut(CapacityBound(child_levels, child_cand, bound, cut))) {
+      Packing packing;
+      LevelsBound(child_levels, depth + 1, &packing);
+      if (cut(FromUnits(packing.bound)) ||
+          cut(AddSurcharge(packing, child_levels[0], child_cand, cut))) {
         ++ctx->stats.bound_cutoffs;
         continue;
       }

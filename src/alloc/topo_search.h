@@ -53,7 +53,13 @@
 // k(s + 1) largest increments across a state's candidates bound the data
 // weight those slots can carry, and wherever the packing sends more, the
 // difference is added to U. A child the release-date part did not cut gets
-// this surcharge slot by slot, stopping once E reaches the cut.
+// this surcharge slot by slot, from the prefix weights its packing
+// recorded, stopping once E reaches the cut.
+//
+// U is summed in int64_t only, over the data weights floored to a fixed
+// point: whole units for integer weights, so U is exact, and otherwise a
+// power of two that puts the total weight just below 2^44 units. The
+// optimum only grows with the weights, so U stays admissible.
 //
 // The neighbor lists and the level arrays live in
 // per-depth scratch owned by the search object, and the memo in a table, all
@@ -249,9 +255,9 @@ class TopoTreeSearch {
   /// by `subset`.
   double ChildLowerBound(uint64_t mask, uint64_t subset, int depth) const;
 
-  /// Fraction bits of the capacity hull's unit increments when every weight
-  /// is an integer (the exact-sum case of the rounding guard): each
-  /// increment is rounded up to a multiple of 2^-kHullFractionBits.
+  /// Fraction bits of the capacity hull's unit increments, which are in the
+  /// bound's weight units: each increment is rounded up to a multiple of
+  /// 2^-kHullFractionBits units.
   static constexpr int kHullFractionBits = 16;
 
   /// Canonical strict total order on sibling compound sets: data weight
@@ -314,27 +320,33 @@ class TopoTreeSearch {
                    uint64_t* child) const;
   // True when `levels` are BuildLevels(mask) (the DFS's debug check).
   bool LevelsMatch(uint64_t mask, const uint64_t* levels) const;
-  // The release-date part of U: LowerBound without the capacity surcharge,
-  // for the state whose release levels are `levels`, with next slot index
-  // depth + 1.
-  double LevelsBound(const uint64_t* levels, int depth) const;
-  // Builds the capacity hulls (hull_begin_, hull_fixed_ / hull_real_).
+  // The release-date part of U in weight units, with the packing's prefix
+  // weights: prefix[s] = G_s, the data weight placed in relative slots
+  // 0 .. s, for s < num_slots; every datum is placed by slot num_slots - 1.
+  // kPaperNextSlot records no prefix (num_slots = 0).
+  struct Packing {
+    int64_t bound;
+    int num_slots;
+    int64_t prefix[64];
+  };
+  // LowerBound without the capacity surcharge, for the state whose release
+  // levels are `levels`, with next slot index depth + 1.
+  void LevelsBound(const uint64_t* levels, int depth, Packing* packing) const;
+  // A sum of weight units as a weight.
+  double FromUnits(int64_t units) const {
+    return static_cast<double>(units) * unit_;
+  }
+  // Builds the capacity hulls (hull_begin_, hull_).
   void BuildCapacityHulls();
-  // `base` (the state's LevelsBound) plus the capacity surcharge of the
-  // state with release levels `levels` and candidate mask `cand`. The
-  // surcharge is added slot by slot, and the first running total for which
-  // stop(U) holds is returned early; U only grows, so stop(result) holds iff
-  // stop holds for the full bound.
+  // The full U of a state: its `packing` (LevelsBound) plus the capacity
+  // surcharge, given the weight ranks of its data candidates and its
+  // candidate mask `cand`. The surcharge is added slot by slot, and the
+  // first running total for which stop(U) holds is returned early; U only
+  // grows, so stop(result) holds iff stop holds for the full bound.
   template <typename Stop>
-  double CapacityBound(const uint64_t* levels, uint64_t cand, double base,
-                       Stop stop) const;
-  // CapacityBound over hull increments of type Num: int64_t fixed point
-  // with integer weights, double with real ones.
-  template <typename Num, typename Stop>
-  double AddSurcharge(const uint64_t* levels, uint64_t cand, double base,
-                      const Num* hull, Stop stop) const;
-  // The full U of the state: CapacityBound(levels, cand,
-  // LevelsBound(levels, depth)) with no early stop.
+  double AddSurcharge(const Packing& packing, uint64_t data_ranks,
+                      uint64_t cand, Stop stop) const;
+  // AddSurcharge with no early stop, from the state's release levels.
   double FullBound(const uint64_t* levels, uint64_t cand, int depth) const;
   // The optimizing DFS's release levels for its frame at `depth`.
   uint64_t* FrameLevels(int depth) {
@@ -358,9 +370,11 @@ class TopoTreeSearch {
   double rounding_slack_ = 0.0;
   // Data nodes heaviest first (ties by ascending id).
   std::vector<DataItem> data_by_weight_;
-  // With exact sums (rounding_slack_ == 0), integer_weight_[r] is the
-  // weight of rank r as an integer; 0 for the ranks without a datum.
-  std::vector<int64_t> integer_weight_;
+  // The fixed point of U (see above): unit_weight_[r] is the weight of
+  // rank r floored to a multiple of unit_, in units; 0 for the ranks
+  // without a datum.
+  double unit_ = 1.0;
+  std::vector<int64_t> unit_weight_;
 
   // --- bitmask tables, fixed at construction --------------------------------
   uint64_t data_mask_ = 0;   // bit set iff the node is a data node
@@ -391,13 +405,10 @@ class TopoTreeSearch {
   // data weight of a parent-closed set of at most m nodes of x's subtree
   // holding x (m = 0 .. subtree size), then a -1 sentinel. The root (never
   // a candidate) and data nodes have none: a data candidate's one increment
-  // is its weight. With integer weights the increments are fixed point
-  // (kHullFractionBits), rounded up, in hull_fixed_; else doubles in
-  // hull_real_, and capacity_guard_ is added to every capacity sum.
+  // is its weight. The increments are in weight units, in fixed point
+  // (kHullFractionBits), rounded up.
   std::vector<int> hull_begin_;
-  std::vector<int64_t> hull_fixed_;
-  std::vector<double> hull_real_;
-  double capacity_guard_ = 0.0;
+  std::vector<int64_t> hull_;
   // Release levels per state: a datum has at most (tree height - 2)
   // unallocated ancestors, so num_levels_ = max(1, height - 1) levels. The
   // optimizing DFS keeps one array of them per depth, like level_scratch_.

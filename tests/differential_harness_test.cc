@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "alloc/baselines.h"
+#include "alloc/data_tree.h"
 #include "alloc/heuristics.h"
 #include "alloc/optimal.h"
 #include "alloc/topo_search.h"
@@ -191,9 +192,9 @@ TEST(DifferentialHarnessTest, ParallelSearchIsThreadCountInvariant) {
       EXPECT_EQ(result->stats.nodes_expanded, reference->stats.nodes_expanded);
     }
 
-    // Where the facade runs the topological-tree search (k > 1 and narrower
-    // than the widest level), it returns exactly the DFS's allocation.
-    if (k == 1 || k >= tree.max_level_width()) continue;
+    // Where the facade runs the topological-tree search (k narrower than
+    // the widest level), it returns exactly the DFS's allocation.
+    if (k >= tree.max_level_width()) continue;
     TopoTreeSearch::Options options;
     options.num_channels = k;
     options.prune_candidates = true;
@@ -204,6 +205,41 @@ TEST(DifferentialHarnessTest, ParallelSearchIsThreadCountInvariant) {
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     EXPECT_EQ(direct->slots, reference->slots);
     EXPECT_EQ(direct->average_data_wait, reference->average_data_wait);
+  }
+}
+
+TEST(DifferentialHarnessTest, UnfiredBudgetLeavesEveryPlanUnchanged) {
+  // A budget that never fires leaves every plan as the unbudgeted facade
+  // returns it: the same slots, ADW bits and expansion count, so one search
+  // plans with and without a budget. At one channel the optimum also
+  // matches the data-tree search of Section 3.3, an independent engine.
+  SearchBudget budget;
+  budget.max_expansions = 1'000'000'000;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 0x9E3779B9u + 1);
+    const int num_data = 3 + static_cast<int>(seed % 6);
+    const int max_fanout = 2 + static_cast<int>(seed % 3);
+    IndexTree tree = MakeRandomTree(&rng, num_data, max_fanout);
+    for (int k = 1; k <= 3; ++k) {
+      SCOPED_TRACE("k " + std::to_string(k));
+      OptimalOptions budgeted;
+      budgeted.budget = budget;
+      auto plain = FindOptimalAllocation(tree, k, OptimalOptions{});
+      auto result = FindOptimalAllocation(tree, k, budgeted);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->slots, plain->slots);
+      EXPECT_EQ(std::bit_cast<uint64_t>(result->average_data_wait),
+                std::bit_cast<uint64_t>(plain->average_data_wait));
+      EXPECT_EQ(result->stats.nodes_expanded, plain->stats.nodes_expanded);
+      if (k != 1) continue;
+      auto data_tree = DataTreeSearch::Create(tree, DataTreeOptions{});
+      ASSERT_TRUE(data_tree.ok()) << data_tree.status().ToString();
+      auto oracle = data_tree->FindOptimal();
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      EXPECT_EQ(plain->average_data_wait, oracle->average_data_wait);
+    }
   }
 }
 
@@ -266,7 +302,7 @@ TEST(DifferentialHarnessTest, IncumbentSeedingIsAPureUpperBound) {
       }
       auto result = FindOptimalAllocation(tree, k, facade);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      if (k >= tree.max_level_width() || k == 1) continue;  // fast paths
+      if (k >= tree.max_level_width()) continue;  // level allocation
       EXPECT_EQ(result->slots, unseeded->slots);
       EXPECT_EQ(result->average_data_wait, unseeded->average_data_wait);
     }

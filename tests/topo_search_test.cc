@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -371,11 +372,34 @@ double ItemwiseGreedyBound(const IndexTree& tree, int k, uint64_t mask,
   return bound;
 }
 
+// The tree with every data weight floored to the bound's fixed point, for a
+// tree whose weights are not all integers: multiples of the power of two
+// that puts the total data weight just below 2^44 units. The bound over the
+// real weights is the exact bound over these, and each sum of the item-wise
+// form over them is exact: fewer than 2^51 units.
+IndexTree FlooredToBoundUnits(const IndexTree& tree) {
+  int exponent = 0;
+  std::frexp(tree.total_data_weight(), &exponent);
+  const double unit = std::ldexp(1.0, exponent - 44);
+  IndexTree floored;
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    if (tree.is_index(id)) {
+      floored.AddIndexNode(tree.parent(id));
+    } else {
+      floored.AddDataNode(tree.parent(id),
+                          std::floor(tree.weight(id) / unit) * unit);
+    }
+  }
+  EXPECT_TRUE(floored.Finalize().ok());
+  return floored;
+}
+
 // Walks the (possibly reduced) topological tree from (mask, last_set, depth)
-// and checks ChildLowerBound against the item-wise bound on every generated
-// child of every state, visiting each state once and at most `max_states`.
-void CheckChildBounds(const TopoTreeSearch& search, uint64_t mask,
-                      uint64_t last_set, int depth,
+// and checks ChildLowerBound against the item-wise bound over `reference`'s
+// weights on every generated child of every state, visiting each state once
+// and at most `max_states`.
+void CheckChildBounds(const TopoTreeSearch& search, const IndexTree& reference,
+                      uint64_t mask, uint64_t last_set, int depth,
                       std::set<std::tuple<uint64_t, uint64_t, int>>* seen,
                       size_t max_states, uint64_t* children_checked) {
   if (mask == search.full_mask() || seen->size() >= max_states) return;
@@ -386,7 +410,7 @@ void CheckChildBounds(const TopoTreeSearch& search, uint64_t mask,
   search.GenerateNeighbors(mask, last_set, &neighbors, nullptr);
   for (uint64_t subset : neighbors) {
     EXPECT_EQ(search.ChildLowerBound(mask, subset, depth),
-              ItemwiseGreedyBound(search.tree(), search.options().num_channels,
+              ItemwiseGreedyBound(reference, search.options().num_channels,
                                   mask | subset, depth + 1))
         << "mask " << mask << " subset " << subset << " depth " << depth
         << "\n"
@@ -394,20 +418,23 @@ void CheckChildBounds(const TopoTreeSearch& search, uint64_t mask,
     ++*children_checked;
   }
   for (uint64_t subset : neighbors) {
-    CheckChildBounds(search, mask | subset, subset, depth + 1, seen,
-                     max_states, children_checked);
+    CheckChildBounds(search, reference, mask | subset, subset, depth + 1,
+                     seen, max_states, children_checked);
   }
 }
 
+// `reference` defaults to `tree`.
 uint64_t CheckAllChildBounds(const IndexTree& tree, int channels, bool pruned,
-                             size_t max_states) {
+                             size_t max_states,
+                             const IndexTree* reference = nullptr) {
   auto search = TopoTreeSearch::Create(tree, MakeOptions(channels, pruned));
   EXPECT_TRUE(search.ok());
   if (!search.ok()) return 0;
   std::set<std::tuple<uint64_t, uint64_t, int>> seen;
   uint64_t checked = 0;
   const uint64_t root = uint64_t{1} << tree.root();
-  CheckChildBounds(*search, root, root, 1, &seen, max_states, &checked);
+  CheckChildBounds(*search, reference != nullptr ? *reference : tree, root,
+                   root, 1, &seen, max_states, &checked);
   return checked;
 }
 
@@ -416,7 +443,8 @@ TEST(ReleaseDateBoundTest, InheritedBoundMatchesItemwiseGreedy) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(79'000 + seed);
     // Integer weights (MakeRandomTree draws 1..100), then the same shape
-    // with real weights.
+    // with real weights, against the item-wise form over the weights the
+    // bound floors them to.
     IndexTree integral =
         MakeRandomTree(&rng, 5 + static_cast<int>(seed % 4),
                        2 + static_cast<int>(seed % 3), /*max_nodes=*/11);
@@ -429,11 +457,12 @@ TEST(ReleaseDateBoundTest, InheritedBoundMatchesItemwiseGreedy) {
       }
     }
     ASSERT_TRUE(real.Finalize().ok());
-    for (const IndexTree* tree : {&integral, &real}) {
-      for (int channels = 2; channels <= 4; ++channels) {
-        for (bool pruned : {false, true}) {
-          checked += CheckAllChildBounds(*tree, channels, pruned, 2'000);
-        }
+    const IndexTree floored = FlooredToBoundUnits(real);
+    for (int channels = 2; channels <= 4; ++channels) {
+      for (bool pruned : {false, true}) {
+        checked += CheckAllChildBounds(integral, channels, pruned, 2'000);
+        checked +=
+            CheckAllChildBounds(real, channels, pruned, 2'000, &floored);
       }
     }
   }
